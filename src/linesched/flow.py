@@ -158,12 +158,6 @@ class FractionalMCF:
     def throughput(self) -> float:
         return sum(f.amount for f in self.flows)
 
-    def flow_of(self, request_id: int) -> SingleFlow:
-        for f in self.flows:
-            if f.request.id == request_id:
-                return f
-        raise KeyError(request_id)
-
 
 _SATURATED = 1e-12     # residual below cap * this counts as full
 

@@ -726,17 +726,16 @@ def solve_instance(instance: Instance, *, seed: int = 0, eps: float = 0.05,
     for r in instance.requests:
         bands[categorize(r.distance, thr, instance.B, instance.c).name.lower()].append(r)
 
+    short_levels = {Category.VERY_SHORT: thr.very_short_max,
+                    Category.SHORT: thr.short_max}
     packings: dict[str, dict[int, GridPath]] = {}
     traces: dict[str, StageTrace] = {}
     for cat in _BAND_ORDER:
         name = cat.name.lower()
         if category not in ("auto", "all", name) or not bands[name]:
             continue
-        if cat is Category.VERY_SHORT:
-            packings[name] = solve_short(bands[name], thr.very_short_max,
-                                         instance.B, instance.c)
-        elif cat is Category.SHORT:
-            packings[name] = solve_short(bands[name], thr.short_max,
+        if cat in short_levels:
+            packings[name] = solve_short(bands[name], short_levels[cat],
                                          instance.B, instance.c)
         else:
             d_max = thr.medium_max if cat is Category.MEDIUM else float(instance.n - 1)

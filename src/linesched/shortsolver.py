@@ -8,18 +8,24 @@ tile and are at most 2L long.  Bounded length keeps every path inside the
 tile of its origin (2L is half a tile side), so tiles never interact and
 per-tile exact search is sound.  The best of the four class solutions wins.
 
-The per-tile search is a branch and bound over requests in id order; path
-candidates are enumerated lazily, forwards before stores.  A node budget
-guards against adversarial pile-ups in a single tile; when it trips the
-remaining requests in that tile are packed greedily, which keeps the output
-valid (the budget is far beyond anything random workloads reach).
+The per-tile search is a branch and bound over requests in id order, trying
+each request's paths forwards before stores and then leaving it out.  Paths
+are enumerated lazily at each visit, and an edge that is already full cuts
+off every path through it before any is built, so a request placed on its
+first try costs one path.  Every path leaves its origin through a store or a
+forward edge, so residual out-capacity at the origins caps what the remaining
+requests can add; the search prunes on that cut and stops as soon as the
+packing reaches the tile's bound (the cut over all of the tile's requests).
+A node budget guards against adversarial pile-ups in a single tile; when it
+trips the remaining requests in that tile are packed greedily, which keeps
+the output valid (the budget is far beyond anything random workloads reach).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .grid import GridPath, request_origin
 from .model import PacketRequest, round_up_to_multiple_of_6
@@ -32,16 +38,20 @@ __all__ = ["TileSolution", "solve_short", "solve_tile_exact"]
 class TileSolution:
     packing: dict[int, GridPath]
     exact: bool          # False when the node budget forced a greedy finish
-    nodes: int
+    nodes: int           # paths the search placed
 
 
-def _tile_paths(req: PacketRequest, row1: int, col1: int, max_len: int):
+def _tile_paths(req: PacketRequest, row1: int, col1: int, max_len: int,
+                usable: Callable[[tuple[str, int, int]], bool] | None = None
+                ) -> Iterator[str]:
     """All confined paths for one request, forwards tried before stores.
 
     Yields move strings with exactly req.distance forwards, ending on the
     delivering forward, never exceeding max_len moves or leaving the tile
     whose exclusive upper bounds are row1/col1.  Deadlines cap the length
-    further since arrival time is release time plus path length.
+    further since arrival time is release time plus path length.  With
+    ``usable``, only paths whose every edge passes it are yielded, in the
+    same order; a failing edge cuts off every path through it at once.
     """
     if req.deadline is not None:
         max_len = min(max_len, req.deadline - req.t)
@@ -53,17 +63,17 @@ def _tile_paths(req: PacketRequest, row1: int, col1: int, max_len: int):
     budget = min(budget, col1 - 1 - start_col)
     if budget < 0:
         return
-    stack: list[tuple[int, str]] = [(0, "")]
+    stack: list[tuple[int, str, int, int]] = [(0, "", start_row, start_col)]
     while stack:
-        used_stores, moves = stack.pop()
-        done_f = len(moves) - used_stores
-        if done_f == dist:
+        used_stores, moves, row, col = stack.pop()
+        if row - start_row == dist:
             yield moves
             continue
         # stores pushed first so forwards pop first
-        if used_stores < budget:
-            stack.append((used_stores + 1, moves + "s"))
-        stack.append((used_stores, moves + "f"))
+        if used_stores < budget and (usable is None or usable(("s", row, col))):
+            stack.append((used_stores + 1, moves + "s", row, col + 1))
+        if usable is None or usable(("f", row, col)):
+            stack.append((used_stores, moves + "f", row + 1, col))
 
 
 def solve_tile_exact(requests: Sequence[PacketRequest], tiling: Tiling,
@@ -77,11 +87,15 @@ def solve_tile_exact(requests: Sequence[PacketRequest], tiling: Tiling,
         if tiling.tile_of(*request_origin(r)) != tile:
             raise ValueError(f"request {r.id} does not originate in tile {tile}")
 
-    candidates: list[list[GridPath]] = []
-    for r in reqs:
-        row, col = request_origin(r)
-        candidates.append([GridPath(row, col, mv)
-                           for mv in _tile_paths(r, row1, col1, max_len)])
+    # waiting[idx]: origin cell -> how many of requests idx.. have a path
+    waiting: list[dict[tuple[int, int], int]] = [{}]
+    for r in reversed(reqs):
+        counts = dict(waiting[-1])
+        if next(_tile_paths(r, row1, col1, max_len), None) is not None:
+            origin = request_origin(r)
+            counts[origin] = counts.get(origin, 0) + 1
+        waiting.append(counts)
+    waiting.reverse()
 
     best: dict[int, GridPath] = {}
     loads: dict[tuple[str, int, int], int] = defaultdict(int)
@@ -89,34 +103,50 @@ def solve_tile_exact(requests: Sequence[PacketRequest], tiling: Tiling,
     nodes = 0
     budget_left = node_budget
 
-    def fits(path: GridPath) -> bool:
-        return all(
-            loads[e] < (store_cap if e[0] == "s" else fwd_cap)
-            for e in path.edges())
+    def usable(edge: tuple[str, int, int]) -> bool:
+        return loads[edge] < (store_cap if edge[0] == "s" else fwd_cap)
+
+    def fitting_paths(r: PacketRequest) -> Iterator[GridPath]:
+        # loads change only while a yielded path is placed, and are restored
+        # before the generator resumes, so its edge checks stay valid
+        row, col = request_origin(r)
+        for moves in _tile_paths(r, row1, col1, max_len, usable):
+            yield GridPath(row, col, moves)
 
     def place(path: GridPath, sign: int) -> None:
         for e in path.edges():
             loads[e] += sign
 
+    def packable(idx: int) -> int:
+        # Every path leaves through its origin's store or forward edge, so
+        # residual out-capacity there caps what requests idx.. can add.
+        return sum(min(count, store_cap - loads["s", row, col]
+                       + fwd_cap - loads["f", row, col])
+                   for (row, col), count in waiting[idx].items())
+
     def search(idx: int) -> None:
         nonlocal nodes, budget_left, best
-        if len(chosen) + (len(reqs) - idx) <= len(best):
+        # No packing below this node exceeds ``bound``; at the root it is
+        # the tile's bound, so reaching that unwinds the whole search.
+        bound = len(chosen) + packable(idx)
+        if bound <= len(best):
             return
         if idx == len(reqs):
-            if len(chosen) > len(best):
-                best = dict(chosen)
+            best = dict(chosen)
             return
-        for path in candidates[idx]:
+        rid = reqs[idx].id
+        for path in fitting_paths(reqs[idx]):
             if budget_left <= 0:
                 return
             nodes += 1
             budget_left -= 1
-            if fits(path):
-                place(path, 1)
-                chosen[reqs[idx].id] = path
-                search(idx + 1)
-                del chosen[reqs[idx].id]
-                place(path, -1)
+            place(path, 1)
+            chosen[rid] = path
+            search(idx + 1)
+            del chosen[rid]
+            place(path, -1)
+            if bound <= len(best):
+                return
         search(idx + 1)
 
     search(0)
@@ -125,12 +155,11 @@ def solve_tile_exact(requests: Sequence[PacketRequest], tiling: Tiling,
         # greedy completion: keep whatever beats the truncated search
         greedy: dict[int, GridPath] = {}
         loads.clear()
-        for r, cands in zip(reqs, candidates):
-            for path in cands:
-                if fits(path):
-                    place(path, 1)
-                    greedy[r.id] = path
-                    break
+        for r in reqs:
+            path = next(fitting_paths(r), None)
+            if path is not None:
+                place(path, 1)
+                greedy[r.id] = path
         if len(greedy) > len(best):
             best = greedy
     return TileSolution(best, exact, nodes)

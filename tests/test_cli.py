@@ -63,6 +63,21 @@ def test_solve_category_flag(tmp_path, capsys):
         main(["solve", str(inst), "--category", "bogus"])
 
 
+def test_solve_very_short_category_verifies(tmp_path, capsys):
+    # the very-short band exists only when min(B, c) > 1
+    inst = _gen(tmp_path, extra=("--B", "2", "--c", "2",
+                                 "--distance", "geometric:0.4"))
+    sched = tmp_path / "sched.json"
+    assert main(["solve", str(inst), "--category", "very_short",
+                 "--out", str(sched)]) == 0
+    assert int(capsys.readouterr().out.split()[1]) > 0
+    trace = json.loads((tmp_path / "sched.json.trace.json").read_text())
+    assert trace["category"] == "very_short"
+    assert list(trace["band_results"]) == ["very_short"]
+    assert main(["verify", str(inst), str(sched)]) == 0
+    assert "0 violations" in capsys.readouterr().out
+
+
 def test_verify_flags_corrupted_schedule(tmp_path, capsys):
     inst = _gen(tmp_path)
     sched = tmp_path / "sched.json"
