@@ -5,6 +5,7 @@ from .model import (
     Instance,
     InstanceFormatError,
     PacketRequest,
+    SolverInvariantError,
     Thresholds,
     capacity_scale,
     categorize,
@@ -29,14 +30,13 @@ from .flow import (
     max_throughput_mcf,
     randomized_round,
 )
+# analysis only: no solve path calls bounding (see its module docstring)
 from .bounding import (
     truncate_fractional,
     truncate_integral,
     truncate_path,
 )
 from .tiling import (
-    Corner,
-    Quadrant,
     Tiling,
     classify_shift,
     partition_classes,
@@ -44,17 +44,19 @@ from .tiling import (
     shift_pairs,
 )
 from .shortsolver import solve_short, solve_tile_exact
-from .pipeline import (
+from .routing import (
     CrossbarEntry,
     CrossbarProblem,
+    quadrant_route,
+    route_crossbar,
+)
+from .pipeline import (
     PipelineParams,
     SolveReport,
     StageTrace,
     filter_congested,
     fractional_upper_bound,
-    quadrant_route,
     report_to_json,
-    route_crossbar,
     route_detailed,
     run_medium_long,
     solve_instance,

@@ -1,9 +1,11 @@
 """Rewriting flows and packings so no path is longer than twice the distance.
 
-Both solvers downstream want short paths: a request travelling distance at
-most d should never wander more than 2d grid edges.  Cutting paths down
-costs throughput, but only a constant factor, and the constructions here
-realize that trade deterministically.
+Analysis only: no solve path calls this module.  It reproduces the paper's
+path-length lemma: a request travelling distance at most d can be held to
+2d grid edges at the cost of only a constant factor of throughput, and the
+constructions here realize that trade deterministically (acceptance
+criteria 2 and 3 measure it).  The solvers cap path lengths on their own,
+through their per-request action budgets.
 
 The grid is split into time slabs of width d (original time t = row + col,
 so slab boundaries are the anti-diagonals t = jd of the untilted grid).

@@ -17,8 +17,9 @@ import sys
 
 from .grid import (ScheduleFormatError, load_schedule, packing_to_schedule,
                    save_schedule, validate_schedule)
-from .model import (InstanceFormatError, gen_random_instance, instance_to_json,
-                    load_instance, save_instance)
+from .model import (InstanceFormatError, SolverInvariantError,
+                    gen_random_instance, instance_to_json, load_instance,
+                    save_instance)
 from .pipeline import report_to_json, solve_instance
 
 _CSV_COLUMNS = ["seed", "n", "B", "c", "M", "category",
@@ -124,20 +125,19 @@ def _bench_row(run: dict, seed: int) -> dict[str, object]:
         run["n"], run["B"], run["c"], run["M"],
         arrival_rate=run["arrival_rate"], distance=run["distance"],
         seed=seed, deadline_slack=run["deadline_slack"])
-    packing, report = solve_instance(
+    _, report = solve_instance(
         inst, seed=seed, eps=run["eps_gk"], category=run["category"])
-    payload = json.loads(report_to_json(report))
-    alg = payload["throughput"]
-    fb = payload["frac_bound"]
-    stage = payload["stages"].get(payload["category"],
-                                  {"R_rnd": 0, "R_fltr": 0,
-                                   "R_quad": 0, "R_final": alg})
+    alg = report.throughput
+    fb = report.frac_bound
+    trace = report.traces.get(report.category)
+    # short bands keep no stage trace: everything they deliver is final
+    stage = trace.counts() if trace else {"R_rnd": 0, "R_fltr": 0,
+                                          "R_quad": 0, "R_final": alg}
     return {
         "seed": seed,
         "n": run["n"], "B": run["B"], "c": run["c"], "M": run["M"],
-        "category": payload["category"],
-        "R_rnd": stage["R_rnd"], "R_fltr": stage["R_fltr"],
-        "R_quad": stage["R_quad"], "R_final": stage["R_final"],
+        "category": report.category,
+        **stage,
         "alg": alg,
         "frac_bound": fb,
         "ratio": alg / fb if fb > 0 else 1.0,
@@ -229,6 +229,9 @@ def main(argv=None) -> int:
     except (InstanceFormatError, ScheduleFormatError, ConfigError,
             OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except SolverInvariantError as e:
+        print(f"error: solver self-check failed: {e}", file=sys.stderr)
         return 2
 
 

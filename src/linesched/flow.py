@@ -6,7 +6,9 @@ every answer against the residual min cut.  ``max_throughput_mcf`` is the
 fractional solver: it maximizes the number of fractionally accepted requests
 subject to per-edge capacities, a per-request cap of one unit, and a
 per-request hop budget.  ``decompose`` and ``randomized_round`` turn the
-fractional answer into weighted paths and into a random integral path set.
+fractional answer into weighted paths and into a random integral path set;
+both walk a request's flow from its origin with one shared walker
+(``_walk``) and differ only in how they pick the next move.
 
 The fractional solver pairs a primal packing loop with an LP-duality
 certificate.  The primal side routes flow greedily in round-robin turns,
@@ -29,12 +31,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .grid import GridPath, request_origin
-from .model import PacketRequest, request_rng
+from .model import PacketRequest, SolverInvariantError, request_rng
 
 __all__ = [
     "FractionalMCF",
@@ -124,7 +126,7 @@ class MaxFlow:
         cut = sum(e[3] for u in side for e in self.adj[u]
                   if e[0] not in side and e[3] > 0)
         if cut != total:
-            raise AssertionError(f"max-flow/min-cut mismatch: {total} vs {cut}")
+            raise SolverInvariantError(f"max-flow/min-cut mismatch: {total} vs {cut}")
         return total
 
 
@@ -167,16 +169,22 @@ _SATURATED = 1e-12     # residual below cap * this counts as full
 _BLOCKED = 1e30
 _BLOCKED_ABOVE = 1e28
 
+# the packing loop stops after this many cheapest-path computations
+_DP_PER_REQUEST, _DP_BASE = 12, 2000
+
 
 class _PackState:
-    """Loads, residual-aware prices and per-request windows on the grid."""
+    """Loads, residual-aware prices and per-request windows on the grid.
+
+    Prices are ``exp(eta (load/cap - 1))/cap`` with the sharpness ``eta``
+    set from ``eps`` and the number of usable edges.
+    """
 
     def __init__(self, n: int, reqs: Sequence[PacketRequest], hops: list[int],
-                 store_cap: float, fwd_cap: float, eta: float):
+                 store_cap: float, fwd_cap: float, eps: float):
         self.n = n
         self.store_cap = store_cap
         self.fwd_cap = fwd_cap
-        self.eta = eta
         cols0 = [r.t - r.a for r in reqs]
         slacks = [hops[i] - r.distance for i, r in enumerate(reqs)]
         self.off = min(cols0)
@@ -195,50 +203,39 @@ class _PackState:
             self.fwd_mask[r.a:r.b, g0:g0 + s + 1] = True
         self.store_load = np.zeros_like(self.store_mask, dtype=float)
         self.fwd_load = np.zeros_like(self.fwd_mask, dtype=float)
-        # prices exp(eta (load/cap - 1))/cap on usable edges, +inf elsewhere
-        # and on saturated edges; the +inf doubles as the residual filter
-        base_s = math.exp(-eta) / store_cap
-        base_f = math.exp(-eta) / fwd_cap
-        self.store_cost = np.where(self.store_mask, base_s, _BLOCKED)
-        self.fwd_cost = np.where(self.fwd_mask, base_f, _BLOCKED)
+        m_edges = int(self.store_mask.sum() + self.fwd_mask.sum()) + len(reqs)
+        self.eta = math.log(max(m_edges, 2) / min(eps, 0.5))
+        # unloaded prices on usable edges, _BLOCKED elsewhere and on
+        # saturated edges; the block doubles as the residual filter
+        self.store_cost = np.where(self.store_mask,
+                                   math.exp(-self.eta) / store_cap, _BLOCKED)
+        self.fwd_cost = np.where(self.fwd_mask,
+                                 math.exp(-self.eta) / fwd_cap, _BLOCKED)
+        # edge kind -> (loads, prices, capacity)
+        self.kind = {"s": (self.store_load, self.store_cost, store_cap),
+                     "f": (self.fwd_load, self.fwd_cost, fwd_cap)}
 
-    def store_residual(self, p: tuple[int, int]) -> float:
-        return self.store_cap - self.store_load[p]
-
-    def fwd_residual(self, p: tuple[int, int]) -> float:
-        return self.fwd_cap - self.fwd_load[p]
+    def residual(self, kind: str, p: tuple[int, int]) -> float:
+        load, _, cap = self.kind[kind]
+        return cap - load[p]
 
     def add_load(self, kind: str, p: tuple[int, int], q: float) -> None:
-        if kind == "s":
-            self.store_load[p] += q
-            res = self.store_cap - self.store_load[p]
-            if res <= self.store_cap * _SATURATED:
-                self.store_cost[p] = _BLOCKED
-            else:
-                self.store_cost[p] = math.exp(
-                    self.eta * (self.store_load[p] / self.store_cap - 1.0)) / self.store_cap
+        load, cost, cap = self.kind[kind]
+        load[p] += q
+        if cap - load[p] <= cap * _SATURATED:
+            cost[p] = _BLOCKED
         else:
-            self.fwd_load[p] += q
-            res = self.fwd_cap - self.fwd_load[p]
-            if res <= self.fwd_cap * _SATURATED:
-                self.fwd_cost[p] = _BLOCKED
-            else:
-                self.fwd_cost[p] = math.exp(
-                    self.eta * (self.fwd_load[p] / self.fwd_cap - 1.0)) / self.fwd_cap
+            cost[p] = math.exp(self.eta * (load[p] / cap - 1.0)) / cap
 
     def prices_at(self, eta: float) -> tuple[np.ndarray, np.ndarray, float]:
         """Unmasked exponential prices for the dual bound, plus their volume."""
-        store_p = np.where(
-            self.store_mask,
-            np.exp(eta * (self.store_load / self.store_cap - 1.0)) / self.store_cap,
-            _BLOCKED)
-        fwd_p = np.where(
-            self.fwd_mask,
-            np.exp(eta * (self.fwd_load / self.fwd_cap - 1.0)) / self.fwd_cap,
-            _BLOCKED)
-        volume = (float(store_p[self.store_mask].sum()) * self.store_cap
-                  + float(fwd_p[self.fwd_mask].sum()) * self.fwd_cap)
-        return store_p, fwd_p, volume
+        prices, volume = [], 0.0
+        for mask, load, cap in ((self.store_mask, self.store_load, self.store_cap),
+                                (self.fwd_mask, self.fwd_load, self.fwd_cap)):
+            price = np.where(mask, np.exp(eta * (load / cap - 1.0)) / cap, _BLOCKED)
+            volume += float(price[mask].sum()) * cap
+            prices.append(price)
+        return prices[0], prices[1], volume
 
 
 def _window_shortest(store_cost: np.ndarray, fwd_cost: np.ndarray,
@@ -294,8 +291,7 @@ def _backtrack(store_cost: np.ndarray, fwd_cost: np.ndarray,
 def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
                        store_cap: float, fwd_cap: float,
                        hop_bounds: int | Mapping[int, int], *,
-                       eps: float = 0.05,
-                       dp_budget: int | None = None) -> FractionalMCF:
+                       eps: float = 0.05) -> FractionalMCF:
     """Fractionally accept as many requests as possible.
 
     Maximizes ``sum_i |f_i|`` subject to: at most ``store_cap`` total flow on
@@ -306,8 +302,8 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
     The returned flow respects all capacities exactly (no rescaling step).
     ``dual_bound`` is always a true upper bound on the fractional optimum;
     ``cert_gap`` is the certified relative gap between the two, and
-    ``certified`` says whether it came in under ``eps``.  ``dp_budget``
-    limits the number of cheapest-path computations spent on routing.
+    ``certified`` says whether it came in under ``eps``.  Routing stops
+    after ``12 M + 2000`` cheapest-path computations (``budget_exhausted``).
     """
     if store_cap <= 0 or fwd_cap <= 0:
         raise ValueError("capacities must be positive")
@@ -325,17 +321,9 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
         if h < r.distance:
             raise ValueError(f"request {r.id}: hop bound {h} below distance {r.distance}")
         hops.append(h)
-    if dp_budget is None:
-        dp_budget = 12 * M + 2000
-
-    state = _PackState(n, reqs, hops, store_cap, fwd_cap, eta=1.0)
-    m_edges = int(state.store_mask.sum() + state.fwd_mask.sum()) + M
-    eta = math.log(max(m_edges, 2) / min(eps, 0.5))
-    state.eta = eta
-    base_s = math.exp(-eta) / store_cap
-    base_f = math.exp(-eta) / fwd_cap
-    state.store_cost[state.store_mask] = base_s
-    state.fwd_cost[state.fwd_mask] = base_f
+    dp_budget = _DP_PER_REQUEST * M + _DP_BASE
+    state = _PackState(n, reqs, hops, store_cap, fwd_cap, eps)
+    eta = state.eta
 
     raw = np.zeros(M)
     per_edges: list[dict[tuple[str, int, int], float]] = [dict() for _ in range(M)]
@@ -363,29 +351,19 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
         dp_count += 1
         if best >= _BLOCKED_ABOVE:
             continue  # no residual path left; permanently blocked
-        moves = _backtrack(state.store_cost, state.fwd_cost, r, g0, dist, j)
+        path = GridPath(r.a, g0, _backtrack(state.store_cost, state.fwd_cost,
+                                            r, g0, dist, j))
         # quantum: bounded by the residual along the path and the demand
         quantum = 1.0 - raw[i]
-        row, col = r.a, g0
-        for mv in moves:
-            if mv == "s":
-                quantum = min(quantum, state.store_residual((row, col)))
-                col += 1
-            else:
-                quantum = min(quantum, state.fwd_residual((row, col)))
-                row += 1
+        for mv, row, col in path.edges():
+            quantum = min(quantum, state.residual(mv, (row, col)))
         if quantum <= 0.0:
             continue
-        row, col = r.a, g0
         edges = per_edges[i]
-        for mv in moves:
+        for mv, row, col in path.edges():
             state.add_load(mv, (row, col), quantum)
             key = (mv, row, col + state.off)
             edges[key] = edges.get(key, 0.0) + quantum
-            if mv == "s":
-                col += 1
-            else:
-                row += 1
         raw[i] += quantum
         if raw[i] < 1.0 - 1e-12:
             active.append(i)
@@ -409,12 +387,10 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
 
     cert_gap = 0.0 if dual_best <= 0 else max(0.0, 1.0 - primal / dual_best)
     congestion = 0.0
-    if state.store_mask.any():
-        congestion = max(congestion,
-                         float(state.store_load[state.store_mask].max()) / store_cap)
-    if state.fwd_mask.any():
-        congestion = max(congestion,
-                         float(state.fwd_load[state.fwd_mask].max()) / fwd_cap)
+    for mask, load, cap in ((state.store_mask, state.store_load, store_cap),
+                            (state.fwd_mask, state.fwd_load, fwd_cap)):
+        if mask.any():
+            congestion = max(congestion, float(load[mask].max()) / cap)
 
     flows = []
     for i, r in enumerate(reqs):
@@ -427,53 +403,54 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
 # ---------------------------------------------------------------------------
 # Fractional flow -> paths.
 
+def _walk(edges: Mapping[tuple[str, int, int], float], req: PacketRequest,
+          choose: Callable[[float, float], str | None]) -> GridPath | None:
+    """One origin-to-destination walk through a request's flow edges.
+
+    At every cell ``choose(wf, ws)`` gets the flow on the forward and the
+    store out-edge and returns ``"f"``, ``"s"``, or None to abandon the walk.
+    """
+    origin = request_origin(req)
+    row, col = origin
+    moves = []
+    while row < req.b:
+        mv = choose(edges.get(("f", row, col), 0.0), edges.get(("s", row, col), 0.0))
+        if mv is None:
+            return None
+        moves.append(mv)
+        if mv == "f":
+            row += 1
+        else:
+            col += 1
+    return GridPath(*origin, "".join(moves))
+
+
+def _heaviest(wf: float, ws: float) -> str | None:
+    if max(wf, ws) <= 0.0:
+        return None
+    return "f" if wf >= ws else "s"
+
+
 def decompose(flow: SingleFlow, tol: float = 1e-12) -> list[tuple[float, GridPath]]:
     """Split one request's flow into weighted origin-to-destination paths.
 
     Greedy stripping along the largest remaining out-edge; the support is a
     DAG so this terminates, clearing at least one edge per path.
     """
-    r = flow.request
-    origin = request_origin(r)
     edges = {k: v for k, v in flow.edges.items() if v > tol}
     out: list[tuple[float, GridPath]] = []
-    guard = len(edges) + 2
-    while edges and guard:
-        guard -= 1
-        row, col = origin
-        moves = []
-        weight = math.inf
-        while row < r.b:
-            wf = edges.get(("f", row, col), 0.0)
-            ws = edges.get(("s", row, col), 0.0)
-            if max(wf, ws) <= 0.0:
-                moves = []
-                break
-            if wf >= ws:
-                moves.append("f")
-                weight = min(weight, wf)
-            else:
-                moves.append("s")
-                weight = min(weight, ws)
-            if moves[-1] == "f":
-                row += 1
-            else:
-                col += 1
-        if not moves:
+    for _ in range(len(edges) + 2):
+        path = _walk(edges, flow.request, _heaviest) if edges else None
+        if path is None:
             break
-        path_row, path_col = origin
-        for mv in moves:
-            key = (mv, path_row, path_col)
-            left = edges[key] - weight
+        weight = min(edges[e] for e in path.edges())
+        for e in path.edges():
+            left = edges[e] - weight
             if left > tol:
-                edges[key] = left
+                edges[e] = left
             else:
-                del edges[key]
-            if mv == "s":
-                path_col += 1
-            else:
-                path_row += 1
-        out.append((weight, GridPath(origin[0], origin[1], "".join(moves))))
+                del edges[e]
+        out.append((weight, path))
     return out
 
 
@@ -494,21 +471,13 @@ def randomized_round(mcf: FractionalMCF, master_seed: int,
         rng = request_rng(master_seed, sf.request.id)
         if rng.random() >= min(sf.amount, 1.0):
             continue
-        row, col = request_origin(sf.request)
-        moves = []
-        while row < sf.request.b:
-            wf = sf.edges.get(("f", row, col), 0.0)
-            ws = sf.edges.get(("s", row, col), 0.0)
+
+        # conservation can leave a dust-sized deficit at a cell the walk
+        # reaches with dust-sized probability; forwarding is then the only
+        # choice that still terminates
+        def coin(wf: float, ws: float) -> str:
             total = wf + ws
-            # conservation can leave a dust-sized deficit at a cell the walk
-            # reaches with dust-sized probability; forwarding is then the
-            # only choice that still terminates
-            if total <= 0.0 or rng.random() < wf / total:
-                moves.append("f")
-                row += 1
-            else:
-                moves.append("s")
-                col += 1
-        o_row, o_col = request_origin(sf.request)
-        accepted[sf.request.id] = GridPath(o_row, o_col, "".join(moves))
+            return "f" if total <= 0.0 or rng.random() < wf / total else "s"
+
+        accepted[sf.request.id] = _walk(sf.edges, sf.request, coin)
     return accepted

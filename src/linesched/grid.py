@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .model import Instance, PacketRequest
 
@@ -25,11 +25,8 @@ __all__ = [
     "Verdict",
     "load_schedule",
     "packing_to_schedule",
-    "path_cells",
-    "path_edges",
     "request_origin",
     "save_schedule",
-    "schedule_to_packing",
     "throughput",
     "validate_schedule",
 ]
@@ -40,31 +37,6 @@ _MOVES = frozenset("sf")
 def request_origin(req: PacketRequest) -> tuple[int, int]:
     """Untilted cell where the request's packet enters the grid."""
     return (req.a, req.t - req.a)
-
-
-def path_cells(row: int, col: int, moves: str) -> Iterator[tuple[int, int]]:
-    """All cells a path visits, starting cell included."""
-    yield (row, col)
-    for mv in moves:
-        if mv == "s":
-            col += 1
-        elif mv == "f":
-            row += 1
-        else:
-            raise ValueError(f"bad move {mv!r}")
-        yield (row, col)
-
-
-def path_edges(row: int, col: int, moves: str) -> Iterator[tuple[str, int, int]]:
-    """Grid edges of a path as (kind, tail_row, tail_col) triples."""
-    for mv in moves:
-        yield (mv, row, col)
-        if mv == "s":
-            col += 1
-        elif mv == "f":
-            row += 1
-        else:
-            raise ValueError(f"bad move {mv!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,11 +54,21 @@ class GridPath:
         return (self.row + self.moves.count("f"),
                 self.col + self.moves.count("s"))
 
-    def cells(self) -> Iterator[tuple[int, int]]:
-        return path_cells(self.row, self.col, self.moves)
-
     def edges(self) -> Iterator[tuple[str, int, int]]:
-        return path_edges(self.row, self.col, self.moves)
+        """Grid edges of the path as (kind, tail_row, tail_col) triples."""
+        row, col = self.row, self.col
+        for mv in self.moves:
+            yield (mv, row, col)
+            if mv == "s":
+                col += 1
+            else:
+                row += 1
+
+    def cells(self) -> Iterator[tuple[int, int]]:
+        """All cells the path visits, starting cell included."""
+        yield (self.row, self.col)
+        for mv, row, col in self.edges():
+            yield (row + 1, col) if mv == "f" else (row, col + 1)
 
     def __len__(self) -> int:
         return len(self.moves)
@@ -187,17 +169,6 @@ def packing_to_schedule(instance: Instance,
                 f"request origin is {request_origin(req)}")
         schedule[req.id] = path.moves
     return schedule
-
-
-def schedule_to_packing(instance: Instance,
-                        schedule: Mapping[int, str]) -> dict[int, GridPath]:
-    packing: dict[int, GridPath] = {}
-    for req in instance.requests:
-        moves = schedule.get(req.id)
-        if moves is not None and moves != "reject":
-            row, col = request_origin(req)
-            packing[req.id] = GridPath(row, col, moves)
-    return packing
 
 
 # ---------------------------------------------------------------------------

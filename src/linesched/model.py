@@ -24,12 +24,11 @@ __all__ = [
     "Instance",
     "InstanceFormatError",
     "PacketRequest",
+    "SolverInvariantError",
     "Thresholds",
     "capacity_scale",
     "categorize",
     "chernoff_exponent",
-    "chernoff_tail",
-    "chernoff_tail_at_factor",
     "gen_random_instance",
     "instance_from_json",
     "instance_to_json",
@@ -38,6 +37,14 @@ __all__ = [
     "round_up_to_multiple_of_6",
     "save_instance",
 ]
+
+
+class SolverInvariantError(AssertionError):
+    """A solver self-check failed.  That is a bug, never a fault of the input.
+
+    Raised explicitly rather than by ``assert``, so the checks still run
+    under ``python -O``.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -63,18 +70,6 @@ def capacity_scale() -> float:
     only with probability exponentially small in the congestion budget.
     """
     return chernoff_exponent(1.0) / 6.0
-
-
-def chernoff_tail(mu: float, eps: float) -> float:
-    """Upper bound ``exp(-mu * chernoff_exponent(eps))`` on the upper tail."""
-    if mu < 0.0:
-        raise ValueError("mean must be nonnegative")
-    return math.exp(-mu * chernoff_exponent(eps))
-
-
-def chernoff_tail_at_factor(mu: float, factor: float) -> float:
-    """Tail bound on ``Pr[X >= factor * mu]``, i.e. ``chernoff_tail(mu, factor - 1)``."""
-    return chernoff_tail(mu, factor - 1.0)
 
 
 def round_up_to_multiple_of_6(x: float, minimum: int = 6) -> int:
@@ -214,10 +209,6 @@ class Instance:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             return Instance(self.n, self.B, self.c, reqs)
-
-    def is_canonical(self) -> bool:
-        keys = [(r.t, r.a, r.b) for r in self.requests]
-        return keys == sorted(keys)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 from .grid import GridPath, request_origin
 from .model import Instance, PacketRequest
-from .pipeline import CrossbarProblem
+from .routing import CrossbarProblem
 
 __all__ = [
     "SizeLimitError",

@@ -12,10 +12,11 @@ The pipeline turns a fractional flow into an integral schedule in stages:
 4. drop every request that projects onto an overloaded tile-graph edge
    (load above 2*lambda*k counted over all rounded requests),
 5. inside every tile, route the survivors' origins to the boundary of the
-   lower-left quadrant by a max-flow, capping each exit side at k/3,
+   lower-left quadrant by a max-flow, capping each exit side at k/3
+   (``routing.quadrant_route``),
 6. stitch the tile-to-tile journey quadrant by quadrant with one-bend
-   crossbar routings, walling quadrants so that all traffic between tiles
-   funnels through the upper-right quadrant,
+   crossbar routings (``routing.route_crossbar``), walling quadrants so
+   that all traffic between tiles funnels through the upper-right quadrant,
 7. cut each planned path at the first touch of its destination row.
 
 Quadrant geometry inside a tile of side k (h = k/2): SW covers local rows
@@ -34,26 +35,23 @@ from __future__ import annotations
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
-from .flow import MaxFlow, max_throughput_mcf, randomized_round
+from .flow import max_throughput_mcf, randomized_round
 from .grid import GridPath, request_origin
-from .model import (Category, Instance, PacketRequest, Thresholds,
-                    capacity_scale, categorize, round_up_to_multiple_of_6)
+from .model import (Category, Instance, PacketRequest, SolverInvariantError,
+                    Thresholds, capacity_scale, categorize,
+                    round_up_to_multiple_of_6)
+from .routing import CrossbarEntry, CrossbarProblem, quadrant_route, route_crossbar
 from .shortsolver import solve_short
 from .tiling import Tiling, partition_classes, project, shift_pairs
 
 __all__ = [
-    "CrossbarEntry",
-    "CrossbarProblem",
     "PipelineParams",
-    "QuadrantRouting",
     "SolveReport",
     "StageTrace",
     "filter_congested",
-    "quadrant_route",
-    "route_crossbar",
     "route_detailed",
     "run_medium_long",
     "solve_instance",
@@ -105,6 +103,11 @@ class PipelineParams:
         return int(2 * self.d_max)
 
 
+def _ids(count: str):
+    """A tuple-of-ids trace field, reported as its size under ``count``."""
+    return field(default=(), metadata={"count": count})
+
+
 @dataclass
 class StageTrace:
     """What survived each stage, for reports and ratio accounting."""
@@ -115,10 +118,10 @@ class StageTrace:
     fractional_value: float = 0.0
     fractional_bound: float = 0.0
     certified: bool = False
-    rounded: tuple[int, ...] = ()
-    filtered: tuple[int, ...] = ()
-    routed: tuple[int, ...] = ()
-    final: tuple[int, ...] = ()
+    rounded: tuple[int, ...] = _ids("R_rnd")
+    filtered: tuple[int, ...] = _ids("R_fltr")
+    routed: tuple[int, ...] = _ids("R_quad")
+    final: tuple[int, ...] = _ids("R_final")
     unservable: int = 0
     quadrant_rejects: int = 0
     side_drops: int = 0
@@ -127,12 +130,8 @@ class StageTrace:
     max_deadline_overshoot: int = 0
 
     def counts(self) -> dict[str, int]:
-        return {
-            "R_rnd": len(self.rounded),
-            "R_fltr": len(self.filtered),
-            "R_quad": len(self.routed),
-            "R_final": len(self.final),
-        }
+        return {f.metadata["count"]: len(getattr(self, f.name))
+                for f in fields(self) if "count" in f.metadata}
 
 
 # ---------------------------------------------------------------------------
@@ -156,233 +155,6 @@ def filter_congested(paths: Mapping[int, GridPath], tiling: Tiling,
 
 
 # ---------------------------------------------------------------------------
-# Stage: max-flow routing to the SW quadrant boundary.
-
-@dataclass
-class QuadrantRouting:
-    accepted: dict[int, tuple[GridPath, str]]   # id -> (path to boundary, exit side)
-    rejected: tuple[int, ...]                   # no boundary path in the max flow
-    side_dropped: tuple[int, ...]               # cut by the per-side limit
-
-
-def quadrant_route(origins: Mapping[int, tuple[int, int]],
-                   corner: tuple[int, int], half: int,
-                   side_limit: int | None = None) -> QuadrantRouting:
-    """Route a maximum subset of origins to the quadrant's top/right edge.
-
-    The flow network gives every boundary vertex one exit slot per side it
-    borders, so the top-right corner cell holds two.  After the max flow is
-    decomposed into unit paths, each exit side is optionally capped at
-    ``side_limit`` survivors, cutting the largest ids first.
-    """
-    row0, col0 = corner
-    for rid, (r, c) in origins.items():
-        if not (0 <= r - row0 < half and 0 <= c - col0 < half):
-            raise ValueError(f"origin of request {rid} outside quadrant window")
-
-    def node(i: int, j: int) -> int:
-        return 1 + i * half + j
-
-    source, sink = 0, 1 + half * half
-    net = MaxFlow(2 + half * half)
-
-    by_cell: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for rid, (r, c) in origins.items():
-        by_cell[(r - row0, c - col0)].append(rid)
-    cell_handle = {cell: net.add_edge(source, node(*cell), len(ids))
-                   for cell, ids in by_cell.items()}
-
-    up_handle = {(i, j): net.add_edge(node(i, j), node(i + 1, j), 1)
-                 for i in range(half - 1) for j in range(half)}
-    right_handle = {(i, j): net.add_edge(node(i, j), node(i, j + 1), 1)
-                    for i in range(half) for j in range(half - 1)}
-    top_handle = {j: net.add_edge(node(half - 1, j), sink, 1)
-                  for j in range(half)}
-    right_slot_handle = {i: net.add_edge(node(i, half - 1), sink, 1)
-                         for i in range(half)}
-
-    net.max_flow(source, sink)
-
-    residual = {h: net.flow_on(h) for h in
-                list(up_handle.values()) + list(right_handle.values())
-                + list(top_handle.values()) + list(right_slot_handle.values())}
-
-    def strip(cell: tuple[int, int]) -> tuple[str, str]:
-        """Follow one unit of flow from cell to an exit slot."""
-        i, j = cell
-        moves: list[str] = []
-        while True:
-            if i == half - 1 and residual.get(top_handle[j], 0) > 0:
-                residual[top_handle[j]] -= 1
-                return "".join(moves), "top"
-            if j == half - 1 and residual.get(right_slot_handle[i], 0) > 0:
-                residual[right_slot_handle[i]] -= 1
-                return "".join(moves), "right"
-            if residual.get(up_handle.get((i, j)), 0) > 0:
-                residual[up_handle[(i, j)]] -= 1
-                moves.append("f")
-                i += 1
-            elif residual.get(right_handle.get((i, j)), 0) > 0:
-                residual[right_handle[(i, j)]] -= 1
-                moves.append("s")
-                j += 1
-            else:
-                raise AssertionError("flow conservation broken during stripping")
-
-    accepted: dict[int, tuple[GridPath, str]] = {}
-    rejected: list[int] = []
-    for cell in sorted(by_cell):
-        ids = sorted(by_cell[cell])
-        routable = net.flow_on(cell_handle[cell])
-        for rid in ids[:routable]:
-            moves, side = strip(cell)
-            accepted[rid] = (GridPath(row0 + cell[0], col0 + cell[1], moves), side)
-        rejected.extend(ids[routable:])
-
-    side_dropped: list[int] = []
-    if side_limit is not None:
-        for side in ("top", "right"):
-            exiters = sorted(r for r, (_, s) in accepted.items() if s == side)
-            for rid in exiters[side_limit:]:
-                side_dropped.append(rid)
-                del accepted[rid]
-    return QuadrantRouting(accepted, tuple(sorted(rejected)),
-                           tuple(sorted(side_dropped)))
-
-
-# ---------------------------------------------------------------------------
-# Stage: one-bend crossbar routing inside a quadrant.
-
-@dataclass(frozen=True)
-class CrossbarEntry:
-    request_id: int
-    side: str        # "left" | "bottom"
-    offset: int      # entry row (left) or entry column (bottom)
-    exit_side: str   # "top" | "right"
-
-
-@dataclass(frozen=True)
-class CrossbarProblem:
-    """Requests crossing a rows x cols grid from left/bottom to top/right.
-
-    Entry edges are pairwise distinct by construction (one per boundary
-    edge), which the side-count feasibility criterion relies on.
-    """
-
-    rows: int
-    cols: int
-    entries: tuple[CrossbarEntry, ...]
-
-    def __post_init__(self) -> None:
-        seen: set[tuple[str, int]] = set()
-        for e in self.entries:
-            if e.side not in ("left", "bottom") or e.exit_side not in ("top", "right"):
-                raise ValueError(f"bad sides on entry {e}")
-            bound = self.rows if e.side == "left" else self.cols
-            if not 0 <= e.offset < bound:
-                raise ValueError(f"entry offset out of range: {e}")
-            if (e.side, e.offset) in seen:
-                raise ValueError(f"duplicate entry edge ({e.side}, {e.offset})")
-            seen.add((e.side, e.offset))
-
-    def side_counts_fit(self) -> bool:
-        tops = sum(1 for e in self.entries if e.exit_side == "top")
-        rights = sum(1 for e in self.entries if e.exit_side == "right")
-        return tops <= self.cols and rights <= self.rows
-
-
-def route_crossbar(problem: CrossbarProblem) -> dict[int, GridPath]:
-    """Edge-disjoint one-bend paths through the quadrant, in local coords.
-
-    Every path starts at its entry cell and ends one step outside the grid
-    through its exit edge, so hand-offs between quadrants chain by simply
-    concatenating move strings.  Raises ValueError when the side counts
-    cannot fit; any other failure would be a bug and trips an assertion.
-
-    Straight-through traffic (bottom-to-top, left-to-right) keeps its own
-    lane.  A left-to-top path bends up at its assigned column chi, using row
-    edges [0, chi) and column edges [r, rows); a bottom-to-right path bends
-    at its assigned row rho, using column edges [0, rho) and row edges
-    [c, cols).  Same-orientation overlap is only possible in the two
-    coincidence cases chi == c (needs rho <= r) and rho == r (needs
-    chi <= c); the assignment search enforces exactly those rules.
-    """
-    if not problem.side_counts_fit():
-        raise ValueError("exit side counts exceed quadrant side lengths")
-    rows, cols = problem.rows, problem.cols
-    straight_up = sorted(e.offset for e in problem.entries
-                         if e.side == "bottom" and e.exit_side == "top")
-    straight_right = sorted(e.offset for e in problem.entries
-                            if e.side == "left" and e.exit_side == "right")
-    lts = sorted((e for e in problem.entries
-                  if e.side == "left" and e.exit_side == "top"),
-                 key=lambda e: e.offset)
-    brs = sorted((e for e in problem.entries
-                  if e.side == "bottom" and e.exit_side == "right"),
-                 key=lambda e: e.offset)
-    free_cols = [c for c in range(cols) if c not in set(straight_up)]
-    free_rows = [r for r in range(rows) if r not in set(straight_right)]
-
-    lt_col: dict[int, int] = {}   # lt offset -> assigned column
-    br_row: dict[int, int] = {}   # br offset -> assigned row
-
-    def compatible(r: int, chi: int, c: int, rho: int) -> bool:
-        if chi == c and rho > r:
-            return False
-        if rho == r and chi > c:
-            return False
-        return True
-
-    def assign(idx: int) -> bool:
-        if idx == len(lts) + len(brs):
-            return True
-        if idx < len(lts):
-            r = lts[idx].offset
-            for chi in free_cols:
-                if chi in lt_col.values():
-                    continue
-                lt_col[r] = chi
-                if assign(idx + 1):
-                    return True
-                del lt_col[r]
-            return False
-        c = brs[idx - len(lts)].offset
-        for rho in free_rows:
-            if rho in br_row.values():
-                continue
-            if all(compatible(r, chi, c, rho) for r, chi in lt_col.items()):
-                br_row[c] = rho
-                if assign(idx + 1):
-                    return True
-                del br_row[c]
-        return False
-
-    if not assign(0):
-        raise AssertionError("one-bend assignment search failed on fitting side counts")
-
-    out: dict[int, GridPath] = {}
-    for e in problem.entries:
-        if e.side == "bottom" and e.exit_side == "top":
-            path = GridPath(0, e.offset, "f" * rows)
-        elif e.side == "left" and e.exit_side == "right":
-            path = GridPath(e.offset, 0, "s" * cols)
-        elif e.side == "left":
-            chi = lt_col[e.offset]
-            path = GridPath(e.offset, 0, "s" * chi + "f" * (rows - e.offset))
-        else:
-            rho = br_row[e.offset]
-            path = GridPath(0, e.offset, "f" * rho + "s" * (cols - e.offset))
-        out[e.request_id] = path
-
-    used: set[tuple[str, int, int]] = set()
-    for path in out.values():
-        for edge in path.edges():
-            if edge in used:
-                raise AssertionError(f"crossbar paths collide on {edge}")
-            used.add(edge)
-    return out
-
-# ---------------------------------------------------------------------------
 # Stage: stitch tiles together and cut at delivery.
 
 def _cut_at_delivery(path: GridPath, dest_row: int) -> GridPath:
@@ -394,7 +166,7 @@ def _cut_at_delivery(path: GridPath, dest_row: int) -> GridPath:
             count += 1
             if count == need:
                 return GridPath(path.row, path.col, path.moves[: idx + 1])
-    raise AssertionError("planned path never reaches its destination row")
+    raise SolverInvariantError("planned path never reaches its destination row")
 
 
 def route_detailed(survivors: Mapping[int, tuple[GridPath, str]],
@@ -443,32 +215,25 @@ def route_detailed(survivors: Mapping[int, tuple[GridPath, str]],
     for tile in tiles:
         up_tile = (tile[0] + 1, tile[1])
         right_tile = (tile[0], tile[1] + 1)
-        ne_left: list[tuple[int, int]] = []
-        ne_bottom: list[tuple[int, int]] = []
-
-        nw = [e for e in pending.pop((tile, "NW"), []) if e[0] in alive]
-        assert len(nw) <= lane_cap <= h, "NW lane budget exceeded"
-        if nw:
-            prob = CrossbarProblem(h, h, tuple(
-                CrossbarEntry(rid, side, off, "right")
-                for rid, side, off in sorted(nw)))
-            for rid, p in route_crossbar(prob).items():
-                moves[rid].append(p.moves)
-                ne_left.append((rid, p.end[0]))
-
-        se = [e for e in pending.pop((tile, "SE"), []) if e[0] in alive]
-        assert len(se) <= lane_cap <= h, "SE lane budget exceeded"
-        if se:
-            prob = CrossbarProblem(h, h, tuple(
-                CrossbarEntry(rid, side, off, "top")
-                for rid, side, off in sorted(se)))
-            for rid, p in route_crossbar(prob).items():
-                moves[rid].append(p.moves)
-                ne_bottom.append((rid, p.end[1]))
+        # NW traffic exits right into NE's left side, SE traffic exits top
+        # into NE's bottom side: (request, NE entry side, NE entry offset)
+        ne: list[tuple[int, str, int]] = []
+        for quad, exit_side, ne_side, axis in (("NW", "right", "left", 0),
+                                               ("SE", "top", "bottom", 1)):
+            lane = [e for e in pending.pop((tile, quad), []) if e[0] in alive]
+            if not len(lane) <= lane_cap <= h:
+                raise SolverInvariantError(f"{quad} lane budget exceeded")
+            if lane:
+                prob = CrossbarProblem(h, h, tuple(
+                    CrossbarEntry(rid, side, off, exit_side)
+                    for rid, side, off in sorted(lane)))
+                for rid, p in route_crossbar(prob).items():
+                    moves[rid].append(p.moves)
+                    ne.append((rid, ne_side, p.end[axis]))
 
         exit_of: dict[int, str] = {}
         terminals: list[int] = []
-        for rid, _ in ne_left + ne_bottom:
+        for rid, _, _ in ne:
             sk = sketches[rid]
             idx = sk.index(tile)
             nxt = sk[idx + 1] if idx + 1 < len(sk) else None
@@ -476,25 +241,25 @@ def route_detailed(survivors: Mapping[int, tuple[GridPath, str]],
                 exit_of[rid] = "right"
             elif nxt == up_tile:
                 exit_of[rid] = "top"
-            else:
-                assert nxt is None, f"sketch of {rid} skips a tile"
+            elif nxt is None:
                 exit_of[rid] = "top"
                 terminals.append(rid)
+            else:
+                raise SolverInvariantError(f"sketch of {rid} skips a tile")
 
         tops = [rid for rid in exit_of if exit_of[rid] == "top"]
         excess = len(tops) - h
         if excess > 0:
-            assert excess <= len(terminals), "up-crossers alone exceed the side"
+            if excess > len(terminals):
+                raise SolverInvariantError("up-crossers alone exceed the side")
             for rid in sorted(terminals)[-excess:]:
                 dropped.append(rid)
                 alive.discard(rid)
                 del exit_of[rid]
                 terminals.remove(rid)
 
-        entries = [CrossbarEntry(rid, "left", off, exit_of[rid])
-                   for rid, off in ne_left if rid in alive]
-        entries += [CrossbarEntry(rid, "bottom", off, exit_of[rid])
-                    for rid, off in ne_bottom if rid in alive]
+        entries = [CrossbarEntry(rid, side, off, exit_of[rid])
+                   for rid, side, off in ne if rid in alive]
         if entries:
             prob = CrossbarProblem(h, h, tuple(sorted(
                 entries, key=lambda e: e.request_id)))
@@ -508,7 +273,8 @@ def route_detailed(survivors: Mapping[int, tuple[GridPath, str]],
                 else:
                     pending[(up_tile, "SE")].append((rid, "bottom", p.end[1]))
 
-    assert not any(v for v in pending.values()), "undelivered traffic left over"
+    if any(pending.values()):
+        raise SolverInvariantError("undelivered traffic left over")
     planned: dict[int, GridPath] = {}
     delivered: dict[int, GridPath] = {}
     for rid in sorted(alive):
@@ -521,22 +287,28 @@ def route_detailed(survivors: Mapping[int, tuple[GridPath, str]],
 # ---------------------------------------------------------------------------
 # Band driver: the seven stages end to end.
 
+def _hop_windows(requests: Sequence[PacketRequest], hop_cap: int,
+                 ) -> tuple[list[PacketRequest], dict[int, int]]:
+    """Servable requests in id order, and the action budget of each.
+
+    The budget is ``hop_cap`` clipped by the deadline; a request whose
+    budget falls below its distance is unservable and left out.
+    """
+    servable, hops = [], {}
+    for r in sorted(requests, key=lambda q: q.id):
+        h = hop_cap if r.deadline is None else min(hop_cap, r.deadline - r.t)
+        if h >= r.distance:
+            servable.append(r)
+            hops[r.id] = h
+    return servable, hops
+
+
 def run_medium_long(requests: Sequence[PacketRequest], n: int,
                     store_cap: int, fwd_cap: int, params: PipelineParams,
                     ) -> tuple[dict[int, GridPath], StageTrace]:
     """Schedule one distance band; returns (delivered packing, trace)."""
-    trace = StageTrace()
-    servable: list[PacketRequest] = []
-    hop_bounds: dict[int, int] = {}
-    for r in sorted(requests, key=lambda q: q.id):
-        hop = params.hop_cap
-        if r.deadline is not None:
-            hop = min(hop, r.deadline - r.t)
-        if hop < r.distance:
-            trace.unservable += 1
-            continue
-        servable.append(r)
-        hop_bounds[r.id] = hop
+    servable, hop_bounds = _hop_windows(requests, params.hop_cap)
+    trace = StageTrace(unservable=len(requests) - len(servable))
     if not servable:
         return {}, trace
 
@@ -590,7 +362,7 @@ def run_medium_long(requests: Sequence[PacketRequest], n: int,
 
     # Soft deadlines: the detour past the requested path adds at most one
     # tile column, so arrivals land within 2k of the deadline; that bound is
-    # asserted below.  Emitted schedules keep deadlines hard, so the few
+    # checked below.  Emitted schedules keep deadlines hard, so the few
     # late deliveries are rejected rather than shipped.
     for rid in sorted(delivered):
         r = req_by_id[rid]
@@ -598,7 +370,8 @@ def run_medium_long(requests: Sequence[PacketRequest], n: int,
             continue
         overshoot = r.t + len(delivered[rid]) - r.deadline
         if overshoot > 0:
-            assert overshoot <= 2 * params.k, "deadline slack blown"
+            if overshoot > 2 * params.k:
+                raise SolverInvariantError("deadline slack blown")
             trace.max_deadline_overshoot = max(trace.max_deadline_overshoot,
                                                overshoot)
             trace.deadline_drops += 1
@@ -610,11 +383,12 @@ def run_medium_long(requests: Sequence[PacketRequest], n: int,
     for p in delivered.values():
         for kind, row, col in p.edges():
             loads[(kind, row, col)] += 1
-            assert row + (kind == "f") < n, "delivered path leaves the grid"
-    assert all(v <= (store_cap if e[0] == "s" else fwd_cap)
-               for e, v in loads.items()), "capacity violated after routing"
-    for rid, p in planned.items():
-        assert project(p, tiling) == sketches[rid], "tile projection drifted"
+            if row + (kind == "f") >= n:
+                raise SolverInvariantError("delivered path leaves the grid")
+    if any(v > (store_cap if e[0] == "s" else fwd_cap) for e, v in loads.items()):
+        raise SolverInvariantError("capacity violated after routing")
+    if any(project(p, tiling) != sketches[rid] for rid, p in planned.items()):
+        raise SolverInvariantError("tile projection drifted")
     return delivered, trace
 
 
@@ -638,25 +412,14 @@ class SolveReport:
 
 
 def report_to_json(report: SolveReport) -> str:
-    """Canonical JSON form of a solve report: stage counts and losses."""
-    stages = {}
-    for name, tr in report.traces.items():
-        entry: dict[str, object] = dict(tr.counts())
-        entry.update(
-            class_sizes=list(tr.class_sizes),
-            chosen_class=tr.chosen_class,
-            class_value=tr.class_value,
-            fractional_value=tr.fractional_value,
-            fractional_bound=tr.fractional_bound,
-            certified=tr.certified,
-            unservable=tr.unservable,
-            quadrant_rejects=tr.quadrant_rejects,
-            side_drops=tr.side_drops,
-            terminal_drops=tr.terminal_drops,
-            deadline_drops=tr.deadline_drops,
-            max_deadline_overshoot=tr.max_deadline_overshoot,
-        )
-        stages[name] = entry
+    """Canonical JSON form of a solve report: stage counts and losses.
+
+    A stage entry holds the trace's counts, then every trace field that is
+    not a tuple of ids, in field order.
+    """
+    stages = {name: tr.counts() | {f.name: getattr(tr, f.name) for f in fields(tr)
+                                   if "count" not in f.metadata}
+              for name, tr in report.traces.items()}
     payload = {
         "category": report.category,
         "throughput": report.throughput,
@@ -691,14 +454,7 @@ def fractional_upper_bound(instance: Instance, *, eps: float = 0.05) -> float:
         else:
             band = 2.0 * thr.short_max
         budget = max(budget, band)
-    hop = int(budget)
-    servable = []
-    hops: dict[int, int] = {}
-    for r in instance.requests:
-        h = hop if r.deadline is None else min(hop, r.deadline - r.t)
-        if h >= r.distance:
-            servable.append(r)
-            hops[r.id] = h
+    servable, hops = _hop_windows(instance.requests, int(budget))
     if not servable:
         return 0.0
     mcf = max_throughput_mcf(servable, n, float(instance.B),

@@ -15,34 +15,18 @@ ceil(len/k) + 1 tile boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .grid import GridPath, request_origin
 from .model import PacketRequest
 
 __all__ = [
-    "Corner",
-    "Quadrant",
     "Tiling",
     "classify_shift",
     "partition_classes",
     "project",
     "shift_pairs",
 ]
-
-
-class Corner(Enum):
-    SW = "SW"
-    NW = "NW"
-    SE = "SE"
-    NE = "NE"
-
-
-@dataclass(frozen=True, slots=True)
-class Quadrant:
-    tile: tuple[int, int]
-    corner: Corner
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,17 +55,6 @@ class Tiling:
     def tile_origin(self, tile: tuple[int, int]) -> tuple[int, int]:
         i, j = tile
         return (i * self.k + self.phi_row, j * self.k + self.phi_col)
-
-    def quadrant_of(self, row: int, col: int) -> Quadrant:
-        tile = self.tile_of(row, col)
-        half = self.k // 2
-        dr = (row - self.phi_row) % self.k
-        dc = (col - self.phi_col) % self.k
-        if dr < half:
-            corner = Corner.SW if dc < half else Corner.SE
-        else:
-            corner = Corner.NW if dc < half else Corner.NE
-        return Quadrant(tile, corner)
 
 
 def shift_pairs(k: int) -> tuple[tuple[int, int], ...]:

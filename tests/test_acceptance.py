@@ -27,10 +27,9 @@ from linesched.model import (Instance, PacketRequest, Thresholds,
                              save_instance)
 from linesched.oracle import (crossbar_feasible_bruteforce, optimal_schedule,
                               quadrant_feasible_bruteforce)
-from linesched.pipeline import (CrossbarEntry, CrossbarProblem,
-                                PipelineParams, filter_congested,
-                                quadrant_route, route_crossbar,
-                                solve_instance)
+from linesched.pipeline import PipelineParams, filter_congested, solve_instance
+from linesched.routing import (CrossbarEntry, CrossbarProblem, quadrant_route,
+                               route_crossbar)
 from linesched.shortsolver import solve_short
 from linesched.tiling import Tiling
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from linesched.cli import main
+from linesched.model import SolverInvariantError
 
 pytestmark = pytest.mark.filterwarnings("ignore:.*never be served.*")
 
@@ -150,6 +151,20 @@ def test_bench_config_validation(tmp_path, capsys):
     bad3 = tmp_path / "bad3.json"
     bad3.write_text("[]")
     assert main(["bench", str(bad3)]) == 2
+
+
+def test_solver_invariant_failure_exits_2(tmp_path, capsys, monkeypatch):
+    inst = _gen(tmp_path, n=16, M=10)
+
+    def broken(*args, **kwargs):
+        raise SolverInvariantError("capacity violated after routing")
+
+    monkeypatch.setattr("linesched.cli.solve_instance", broken)
+    assert main(["solve", str(inst)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: solver self-check failed: "
+                            "capacity violated after routing\n")
 
 
 def test_missing_instance_file_is_reported(tmp_path, capsys):

@@ -6,12 +6,9 @@ from linesched.grid import (
     GridPath,
     ScheduleFormatError,
     packing_to_schedule,
-    path_cells,
-    path_edges,
     request_origin,
     schedule_from_json,
     schedule_to_json,
-    schedule_to_packing,
     throughput,
     validate_schedule,
 )
@@ -34,10 +31,12 @@ def test_request_origin():
 
 
 def test_path_cells_and_edges():
-    assert list(path_cells(1, 2, "sff")) == [(1, 2), (1, 3), (2, 3), (3, 3)]
-    assert list(path_edges(1, 2, "sff")) == [("s", 1, 2), ("f", 1, 3), ("f", 2, 3)]
+    assert list(GridPath(1, 2, "sff").cells()) == [(1, 2), (1, 3), (2, 3), (3, 3)]
+    assert list(GridPath(1, 2, "sff").edges()) == [("s", 1, 2), ("f", 1, 3), ("f", 2, 3)]
+    assert list(GridPath(4, -3, "").cells()) == [(4, -3)]
+    assert list(GridPath(4, -3, "").edges()) == []
     with pytest.raises(ValueError):
-        list(path_cells(0, 0, "sx"))
+        GridPath(0, 0, "sx")
 
 
 def test_grid_path():
@@ -52,9 +51,14 @@ def test_grid_path():
 @given(st.integers(-5, 5), st.integers(-5, 5), st.text(alphabet="sf", max_size=12))
 def test_original_time_is_row_plus_col(row, col, moves):
     # Every action advances original time t = row + col by exactly one.
-    cells = list(path_cells(row, col, moves))
+    path = GridPath(row, col, moves)
+    cells = list(path.cells())
     for i, (r, c) in enumerate(cells):
         assert r + c == row + col + i
+    # every edge leaves the cell before it and enters the cell after it
+    for (kind, r, c), before, after in zip(path.edges(), cells, cells[1:]):
+        assert (r, c) == before
+        assert after == ((r + 1, c) if kind == "f" else (r, c + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +120,9 @@ def test_rejected_requests_consume_nothing():
 def test_packing_round_trip():
     inst = make_instance(5, 1, 1, (0, 2, 1), (1, 4, 2), (2, 3, 1))
     schedule = {0: "fsf", 1: "fff", 2: "reject"}
-    packing = schedule_to_packing(inst, schedule)
-    assert set(packing) == {0, 1}
-    assert packing[0] == GridPath(0, 1, "fsf")
+    packing = {0: GridPath(0, 1, "fsf"), 1: GridPath(1, 1, "fff")}
+    assert packing[0] == GridPath(*request_origin(inst.requests[0]), "fsf")
+    assert packing[1] == GridPath(*request_origin(inst.requests[1]), "fff")
     assert packing_to_schedule(inst, packing) == schedule
     bad = {0: GridPath(1, 1, "fsf")}
     with pytest.raises(ValueError, match="origin"):

@@ -16,8 +16,6 @@ from linesched.model import (
     capacity_scale,
     categorize,
     chernoff_exponent,
-    chernoff_tail,
-    chernoff_tail_at_factor,
     gen_random_instance,
     instance_from_json,
     instance_to_json,
@@ -86,14 +84,6 @@ def test_chernoff_exponent_convex():
     ys = np.array([chernoff_exponent(float(x)) for x in xs])
     second = np.diff(ys, 2)
     assert (second >= -1e-12).all()
-
-
-def test_chernoff_tail():
-    assert chernoff_tail(10.0, 1.0) == pytest.approx(math.exp(-10.0 * (2 * math.log(2) - 1)))
-    assert chernoff_tail_at_factor(10.0, 2.0) == chernoff_tail(10.0, 1.0)
-    assert chernoff_tail(0.0, 1.0) == 1.0
-    with pytest.raises(ValueError):
-        chernoff_tail(-1.0, 0.5)
 
 
 def test_round_up_to_multiple_of_6():
@@ -186,9 +176,11 @@ def test_canonical_sorts_and_renumbers():
     reqs = (PacketRequest(0, 1, 3, 5), PacketRequest(1, 0, 2, 1),
             PacketRequest(2, 0, 1, 5), PacketRequest(3, 1, 2, 1))
     inst = Instance(n=4, B=1, c=1, requests=reqs)
-    assert not inst.is_canonical()
+    keys = [(r.t, r.a, r.b) for r in inst.requests]
+    assert keys != sorted(keys)
     canon = inst.canonical()
-    assert canon.is_canonical()
+    keys = [(r.t, r.a, r.b) for r in canon.requests]
+    assert keys == sorted(keys)
     assert [(r.t, r.a, r.b) for r in canon.requests] == [(1, 0, 2), (1, 1, 2), (5, 0, 1), (5, 1, 3)]
     assert [r.id for r in canon.requests] == [0, 1, 2, 3]
     assert canon.canonical() == canon
@@ -242,7 +234,9 @@ def test_generator_is_deterministic_and_canonical():
     a = gen_random_instance(64, 1, 1, 100, seed=3)
     b = gen_random_instance(64, 1, 1, 100, seed=3)
     assert a == b
-    assert a.is_canonical()
+    keys = [(r.t, r.a, r.b) for r in a.requests]
+    assert keys == sorted(keys)
+    assert [r.id for r in a.requests] == list(range(100))
     assert a != gen_random_instance(64, 1, 1, 100, seed=4)
 
 

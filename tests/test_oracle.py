@@ -9,8 +9,8 @@ from linesched.model import Instance, PacketRequest
 from linesched.oracle import (SizeLimitError, crossbar_feasible_bruteforce,
                               optimal_schedule, optimal_throughput_exhaustive,
                               quadrant_feasible_bruteforce)
-from linesched.pipeline import (CrossbarEntry, CrossbarProblem,
-                                quadrant_route, route_crossbar)
+from linesched.routing import (CrossbarEntry, CrossbarProblem,
+                               quadrant_route, route_crossbar)
 
 
 def _clones(m: int) -> Instance:

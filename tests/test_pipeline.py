@@ -1,18 +1,23 @@
 """Pipeline stage tests: filter, quadrant flow, crossbars, stitching."""
 
+import ast
 import math
 import random
 from collections import defaultdict
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
+import linesched
 from linesched.grid import GridPath, packing_to_schedule, validate_schedule
-from linesched.model import (Instance, PacketRequest, capacity_scale,
-                             gen_random_instance)
-from linesched.pipeline import (CrossbarEntry, CrossbarProblem, PipelineParams,
-                                filter_congested, quadrant_route,
-                                route_crossbar, route_detailed,
+from linesched.model import (Instance, PacketRequest, SolverInvariantError,
+                             capacity_scale, gen_random_instance)
+from linesched.pipeline import (PipelineParams, _cut_at_delivery,
+                                filter_congested, route_detailed,
                                 run_medium_long, solve_instance)
+from linesched.routing import (CrossbarEntry, CrossbarProblem, quadrant_route,
+                               route_crossbar)
 from linesched.tiling import Tiling, project
 
 
@@ -304,3 +309,27 @@ def test_solve_instance_unknown_category():
     inst = Instance(2, 1, 1, ())
     with pytest.raises(ValueError):
         solve_instance(inst, category="bogus")
+
+
+# ---------------------------------------------------------------------------
+# Self-checks.
+
+def test_no_assert_statements_in_the_package():
+    # self-checks must survive python -O, which strips assert statements
+    src = Path(linesched.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_self_check_failure_raises_invariant_error():
+    with pytest.raises(SolverInvariantError, match="never reaches"):
+        _cut_at_delivery(GridPath(0, 0, "fsf"), 3)
+    with pytest.raises(SolverInvariantError, match="collide"), \
+            patch("linesched.routing.GridPath.edges",
+                  lambda self: iter([("f", 0, 0)])):
+        route_crossbar(CrossbarProblem(2, 2, (
+            CrossbarEntry(0, "left", 0, "right"),
+            CrossbarEntry(1, "left", 1, "right"))))

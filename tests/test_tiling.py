@@ -1,7 +1,6 @@
 """Tile geometry, shift classification, and sketch projection."""
 
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from linesched.grid import GridPath, request_origin
 from linesched.model import PacketRequest
 from linesched.tiling import (
-    Corner,
     Tiling,
     classify_shift,
     partition_classes,
@@ -40,22 +38,6 @@ def test_tile_of_and_origin_roundtrip():
     assert t.tile_origin((-1, 2)) == (-6, 15)
 
 
-def test_quadrant_corners_in_plain_tile():
-    t = Tiling(4)
-    assert t.quadrant_of(0, 0).corner is Corner.SW
-    assert t.quadrant_of(2, 2).corner is Corner.NE   # tile center starts NE
-    assert t.quadrant_of(0, 2).corner is Corner.SE
-    assert t.quadrant_of(2, 0).corner is Corner.NW
-
-
-def test_quadrants_partition_a_tile_exhaustively():
-    t = Tiling(4)
-    counts = Counter(t.quadrant_of(r, c).corner for r in range(4) for c in range(4))
-    assert counts == {Corner.SW: 4, Corner.SE: 4, Corner.NW: 4, Corner.NE: 4}
-    tiles = {t.quadrant_of(r, c).tile for r in range(4) for c in range(4)}
-    assert tiles == {(0, 0)}
-
-
 def test_classify_shift_examples():
     assert classify_shift((0, 0), 4) == (0, 0)
     # row 3 needs the row shift, col 1 does not
@@ -71,11 +53,13 @@ def test_classify_shift_is_the_unique_sw_membership():
         row = int(rng.integers(0, 40))
         col = int(rng.integers(-20, 40))
         chosen = classify_shift((row, col), k)
-        members = [
-            (phi_col, phi_row)
-            for phi_col, phi_row in shift_pairs(k)
-            if Tiling(k, phi_col, phi_row).quadrant_of(row, col).corner is Corner.SW
-        ]
+        members = []
+        for phi_col, phi_row in shift_pairs(k):
+            tiling = Tiling(k, phi_col, phi_row)
+            row0, col0 = tiling.tile_origin(tiling.tile_of(row, col))
+            # SW quadrant: local row and local column both below k/2
+            if row - row0 < k // 2 and col - col0 < k // 2:
+                members.append((phi_col, phi_row))
         assert members == [chosen]
 
 
