@@ -204,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--eps-gk", type=float, default=0.05,
                    help="accuracy of the fractional solver")
     s.add_argument("--category", default="auto",
-                   choices=("auto", "very_short", "short", "medium", "long",
-                            "all"))
+                   choices=("auto", "very_short", "short", "medium", "long"),
+                   help="run one band, or every nonempty band and keep the best (auto)")
     s.add_argument("--out", default=None,
                    help="schedule file; a <out>.trace.json sidecar is written too")
     s.set_defaults(func=cmd_solve)

@@ -10,6 +10,12 @@ fractional answer into weighted paths and into a random integral path set;
 both walk a request's flow from its origin with one shared walker
 (``_walk``) and differ only in how they pick the next move.
 
+``origin_cut`` is the closed-form bound behind both the solver's trivial
+dual bound and the upper bound printed next to every schedule
+(``pipeline.fractional_upper_bound``): a path leaves its origin cell
+through that cell's store or forward edge, so one cell sends out at most
+``store_cap + fwd_cap`` units, whatever the path lengths.
+
 The fractional solver pairs a primal packing loop with an LP-duality
 certificate.  The primal side routes flow greedily in round-robin turns,
 always along a cheapest path under exponential congestion prices and never
@@ -22,16 +28,16 @@ nothing is lost to rescaling.  The dual side uses the bound
 which is valid for any positive prices l (every accepted unit travels a path
 of price >= alpha while the total price volume a feasible flow can pay is at
 most D).  Evaluating it on the exponential prices of the final loads, plus
-the trivial bounds (request count, origin out-capacity cut), gives a
-certified optimality gap that is real whatever the loop dynamics did.
+the trivial bounds (request count, ``origin_cut``), gives a certified
+optimality gap that is real whatever the loop dynamics did.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -44,6 +50,7 @@ __all__ = [
     "SingleFlow",
     "decompose",
     "max_throughput_mcf",
+    "origin_cut",
     "randomized_round",
 ]
 
@@ -288,6 +295,19 @@ def _backtrack(store_cost: np.ndarray, fwd_cost: np.ndarray,
     return "".join(moves)
 
 
+def origin_cut(requests: Iterable[PacketRequest], store_cap: float,
+               fwd_cap: float) -> float:
+    """Origin out-capacity cut: ``sum over origin cells of min(count, cap)``.
+
+    Every path starts with a store or a forward edge out of its origin cell,
+    so no flow, fractional or integral, of any path length takes more than
+    ``store_cap + fwd_cap`` units out of one cell, and no request more than
+    one.
+    """
+    count = Counter(request_origin(r) for r in requests)
+    return sum((min(float(k), store_cap + fwd_cap) for k in count.values()), 0.0)
+
+
 def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
                        store_cap: float, fwd_cap: float,
                        hop_bounds: int | Mapping[int, int], *,
@@ -329,13 +349,7 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
     per_edges: list[dict[tuple[str, int, int], float]] = [dict() for _ in range(M)]
 
     # trivial dual bounds: request count and the origin out-capacity cut
-    origin_count: dict[tuple[int, int], int] = {}
-    for r in reqs:
-        o = request_origin(r)
-        origin_count[o] = origin_count.get(o, 0) + 1
-    origin_cut = sum(min(float(cnt), store_cap + fwd_cap)
-                     for cnt in origin_count.values())
-    dual_best = min(float(M), origin_cut)
+    dual_best = min(float(M), origin_cut(reqs, store_cap, fwd_cap))
 
     dp_count = 0
     budget_out = False

@@ -38,7 +38,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
-from .flow import max_throughput_mcf, randomized_round
+from .flow import max_throughput_mcf, origin_cut, randomized_round
 from .grid import GridPath, request_origin
 from .model import (Category, Instance, PacketRequest, SolverInvariantError,
                     Thresholds, capacity_scale, categorize,
@@ -287,27 +287,22 @@ def route_detailed(survivors: Mapping[int, tuple[GridPath, str]],
 # ---------------------------------------------------------------------------
 # Band driver: the seven stages end to end.
 
-def _hop_windows(requests: Sequence[PacketRequest], hop_cap: int,
-                 ) -> tuple[list[PacketRequest], dict[int, int]]:
-    """Servable requests in id order, and the action budget of each.
-
-    The budget is ``hop_cap`` clipped by the deadline; a request whose
-    budget falls below its distance is unservable and left out.
-    """
-    servable, hops = [], {}
-    for r in sorted(requests, key=lambda q: q.id):
-        h = hop_cap if r.deadline is None else min(hop_cap, r.deadline - r.t)
-        if h >= r.distance:
-            servable.append(r)
-            hops[r.id] = h
-    return servable, hops
-
-
 def run_medium_long(requests: Sequence[PacketRequest], n: int,
                     store_cap: int, fwd_cap: int, params: PipelineParams,
                     ) -> tuple[dict[int, GridPath], StageTrace]:
-    """Schedule one distance band; returns (delivered packing, trace)."""
-    servable, hop_bounds = _hop_windows(requests, params.hop_cap)
+    """Schedule one distance band; returns (delivered packing, trace).
+
+    Each request's action budget is ``params.hop_cap`` clipped by its
+    deadline; a request whose budget falls below its distance is left out.
+    """
+    servable, hop_bounds = [], {}
+    for r in sorted(requests, key=lambda q: q.id):
+        h = params.hop_cap
+        if r.deadline is not None:
+            h = min(h, r.deadline - r.t)
+        if h >= r.distance:
+            servable.append(r)
+            hop_bounds[r.id] = h
     trace = StageTrace(unservable=len(requests) - len(servable))
     if not servable:
         return {}, trace
@@ -423,7 +418,7 @@ def report_to_json(report: SolveReport) -> str:
     payload = {
         "category": report.category,
         "throughput": report.throughput,
-        "frac_bound": None if math.isnan(report.frac_bound) else report.frac_bound,
+        "frac_bound": report.frac_bound,
         "eps": report.eps,
         "seed": report.seed,
         "band_sizes": report.band_sizes,
@@ -433,48 +428,35 @@ def report_to_json(report: SolveReport) -> str:
     return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
-def fractional_upper_bound(instance: Instance, *, eps: float = 0.05) -> float:
-    """Valid upper bound on any schedule this package can emit.
+def fractional_upper_bound(instance: Instance) -> float:
+    """Upper bound on the number of requests any schedule can deliver.
 
-    Solves the fractional relaxation at the instance's true capacities with
-    an action budget generous enough to cover every path the band solvers
-    produce (twice the band maximum plus one tile side), then reports the
-    solver's dual bound, which caps the optimum of that relaxation from
-    above regardless of certification.
+    ``min(#servable, origin cut)`` over the servable requests, with
+    ``B + c`` out of every origin cell (``flow.origin_cut``).  A request
+    whose deadline comes before its earliest arrival is never delivered; a
+    delivered packet leaves its origin cell by a store or a forward, of
+    which a cell has ``B`` and ``c``.  The cut assumes no action budget, so
+    it bounds the true optimum, integral or fractional, and not only the
+    schedules this package emits.
     """
-    n = instance.n
-    thr = Thresholds.from_n(n)
-    budget = 0.0
-    for r in instance.requests:
-        cat = categorize(r.distance, thr, instance.B, instance.c)
-        if cat is Category.LONG:
-            band = 2.0 * (n - 1) + PipelineParams.for_band(float(n - 1), seed=0).k
-        elif cat is Category.MEDIUM:
-            band = 2.0 * thr.medium_max + PipelineParams.for_band(thr.medium_max, seed=0).k
-        else:
-            band = 2.0 * thr.short_max
-        budget = max(budget, band)
-    servable, hops = _hop_windows(instance.requests, int(budget))
-    if not servable:
-        return 0.0
-    mcf = max_throughput_mcf(servable, n, float(instance.B),
-                             float(instance.c), hops, eps=eps)
-    return min(float(len(servable)), mcf.dual_bound)
+    servable = [r for r in instance.requests if r.is_servable()]
+    return min(float(len(servable)),
+               origin_cut(servable, instance.B, instance.c))
 
 
 def solve_instance(instance: Instance, *, seed: int = 0, eps: float = 0.05,
-                   category: str = "auto", compute_bound: bool = True,
+                   category: str = "auto",
                    ) -> tuple[dict[int, GridPath], SolveReport]:
     """Best single-band schedule for the instance.
 
     Each distance band is solved by its own algorithm on its own requests
     and the highest-throughput band solution is returned whole; solutions
-    are never merged across bands.  ``category`` restricts which bands run
-    ("auto" and "all" run every nonempty band).  The routing pipeline runs
+    are never merged across bands.  ``category`` names the one band to run,
+    or is "auto" to run every nonempty band.  The routing pipeline runs
     with both capacities replaced by min(B, c); the exact small-tile solver
     uses the true capacities.
     """
-    if category not in ("auto", "all", "very_short", "short", "medium", "long"):
+    if category not in ("auto", "very_short", "short", "medium", "long"):
         raise ValueError(f"unknown category {category!r}")
     thr = Thresholds.from_n(instance.n)
     scaled = min(instance.B, instance.c)
@@ -488,7 +470,7 @@ def solve_instance(instance: Instance, *, seed: int = 0, eps: float = 0.05,
     traces: dict[str, StageTrace] = {}
     for cat in _BAND_ORDER:
         name = cat.name.lower()
-        if category not in ("auto", "all", name) or not bands[name]:
+        if category not in ("auto", name) or not bands[name]:
             continue
         if cat in short_levels:
             packings[name] = solve_short(bands[name], short_levels[cat],
@@ -503,11 +485,10 @@ def solve_instance(instance: Instance, *, seed: int = 0, eps: float = 0.05,
     for name in packings:
         if len(packings[name]) > len(best):
             best_name, best = name, packings[name]
-    bound = fractional_upper_bound(instance, eps=eps) if compute_bound else float("nan")
     report = SolveReport(
         category=best_name or "none",
         throughput=len(best),
-        frac_bound=bound,
+        frac_bound=fractional_upper_bound(instance),
         band_sizes={name: len(reqs) for name, reqs in bands.items() if reqs},
         band_results={name: len(p) for name, p in packings.items()},
         traces=traces,

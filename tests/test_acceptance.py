@@ -439,7 +439,7 @@ def test_criterion_11_soft_deadlines():
     for seed in range(50):
         inst = gen_random_instance(64, 1, 1, 150, seed=200 + seed,
                                    deadline_slack=8 + seed % 30)
-        packing, report = solve_instance(inst, seed=seed, compute_bound=False)
+        packing, report = solve_instance(inst, seed=seed)
         verdict = validate_schedule(inst, packing_to_schedule(inst, packing))
         assert verdict.ok, (seed, verdict.violations[:3])
         for band, trace in report.traces.items():

@@ -9,6 +9,7 @@ from linesched.flow import (
     SingleFlow,
     decompose,
     max_throughput_mcf,
+    origin_cut,
     randomized_round,
 )
 from linesched.grid import request_origin
@@ -104,6 +105,14 @@ def test_mcf_single_request_uncongested():
     assert mcf.cert_gap <= 0.05 + 1e-9
     assert not mcf.budget_exhausted
     check_feasible(mcf, 5.0, 5.0, 6)
+
+
+def test_origin_cut_caps_each_origin_cell():
+    # three requests share cell (0, 5); one leaves cell (1, 1) alone
+    reqs = [PacketRequest(i, 0, 1, 5) for i in range(3)] + [PacketRequest(3, 1, 2, 2)]
+    assert origin_cut(reqs, 0.3, 0.3) == pytest.approx(0.6 + 0.6)
+    assert origin_cut(reqs, 2, 1) == 4.0
+    assert origin_cut([], 1, 1) == 0.0
 
 
 def test_mcf_origin_cut_binds():

@@ -1,10 +1,10 @@
 """Golden end-to-end outputs of the command line.
 
 Pins the exact bytes of ``linesched solve`` (stdout, schedule file and
-``.trace.json`` sidecar) on three seeded instances, and the CSV of a
-two-seed ``linesched bench`` run.  Refactors must leave every one of them
-unchanged; a change that alters schedules on purpose re-records these
-digests and says why.
+``.trace.json`` sidecar) on two seeded instances, one of them also with a
+forced band, and the CSV of a two-seed ``linesched bench`` run.  Refactors
+must leave every one of them unchanged; a change that alters schedules on
+purpose re-records these digests and says why.
 """
 
 import hashlib
@@ -25,10 +25,6 @@ SOLVES = {
         ["--n", "48", "--M", "80", "--B", "2", "--c", "2", "--seed", "5",
          "--distance", "geometric:0.3", "--deadline-slack", "4"],
         ["--seed", "5"]),
-    "geometric_deadline_48_80_all": (
-        ["--n", "48", "--M", "80", "--B", "2", "--c", "2", "--seed", "5",
-         "--distance", "geometric:0.3", "--deadline-slack", "4"],
-        ["--seed", "5", "--category", "all"]),
     "uniform_64_150_medium": (
         ["--n", "64", "--M", "150", "--seed", "5"],
         ["--seed", "5", "--category", "medium"]),
@@ -68,11 +64,6 @@ GOLDEN_SOLVES = {
         "schedule": "8d239139e883b933a9bafbb4b6f684a087afbd6a1259e602f8fd6c7b1e8b5d0f",
         "trace": "204311f21e6607a2b03338d99c9d0b9844b9fa0329eeb41ec6a7a40a2c8d7f8b",
     },
-    "geometric_deadline_48_80_all": {
-        "stdout": "throughput 24\nfractional_upper_bound 80.000000\n",
-        "schedule": "8d239139e883b933a9bafbb4b6f684a087afbd6a1259e602f8fd6c7b1e8b5d0f",
-        "trace": "204311f21e6607a2b03338d99c9d0b9844b9fa0329eeb41ec6a7a40a2c8d7f8b",
-    },
     "uniform_64_150": {
         "stdout": "throughput 5\nfractional_upper_bound 150.000000\n",
         "schedule": "5c69a186d85b846509002790bc44321e1abc74ad607ca04a8a9b9a5e0e1c3baf",
@@ -95,3 +86,15 @@ def test_solve_outputs_are_pinned(tmp_path, capsys, name):
 
 def test_bench_csv_is_pinned(tmp_path):
     assert run_bench(tmp_path) == GOLDEN_BENCH
+
+
+def test_solve_category_all_is_refused(tmp_path, capsys):
+    # "auto" runs every nonempty band; there is no separate "all"
+    gen_flags, _ = SOLVES["geometric_deadline_48_80"]
+    inst = tmp_path / "inst.json"
+    assert main(["gen", *gen_flags, "--out", str(inst)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(inst), "--seed", "5", "--category", "all"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'all'" in capsys.readouterr().err

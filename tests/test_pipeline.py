@@ -8,14 +8,18 @@ from pathlib import Path
 from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import linesched
 from linesched.grid import GridPath, packing_to_schedule, validate_schedule
 from linesched.model import (Instance, PacketRequest, SolverInvariantError,
                              capacity_scale, gen_random_instance)
+from linesched.oracle import optimal_schedule
 from linesched.pipeline import (PipelineParams, _cut_at_delivery,
-                                filter_congested, route_detailed,
-                                run_medium_long, solve_instance)
+                                filter_congested, fractional_upper_bound,
+                                route_detailed, run_medium_long,
+                                solve_instance)
 from linesched.routing import (CrossbarEntry, CrossbarProblem, quadrant_route,
                                route_crossbar)
 from linesched.tiling import Tiling, project
@@ -268,23 +272,22 @@ def test_run_medium_long_prunes_impossible_deadlines():
 
 def test_solve_instance_is_deterministic():
     inst = gen_random_instance(64, 1, 1, 250, seed=2)
-    first, rep1 = solve_instance(inst, seed=2, compute_bound=False)
-    second, rep2 = solve_instance(inst, seed=2, compute_bound=False)
+    first, rep1 = solve_instance(inst, seed=2)
+    second, rep2 = solve_instance(inst, seed=2)
     assert first == second and rep1.category == rep2.category
 
 
 def test_solve_instance_band_restriction():
     inst = gen_random_instance(64, 1, 1, 250, seed=6)
-    _, full = solve_instance(inst, seed=6, compute_bound=False)
-    _, only_short = solve_instance(inst, seed=6, category="short",
-                                   compute_bound=False)
+    _, full = solve_instance(inst, seed=6)
+    _, only_short = solve_instance(inst, seed=6, category="short")
     assert set(only_short.band_results) == {"short"}
     assert full.throughput >= only_short.throughput
 
 
 def test_solve_instance_picks_best_band():
     inst = gen_random_instance(48, 1, 1, 300, seed=9)
-    packing, report = solve_instance(inst, seed=9, compute_bound=False)
+    packing, report = solve_instance(inst, seed=9)
     assert report.throughput == len(packing)
     assert report.throughput == max(report.band_results.values())
     assert report.band_results[report.category] == report.throughput
@@ -298,10 +301,61 @@ def test_solve_instance_bound_dominates_throughput():
     assert verdict.ok
 
 
+@pytest.mark.parametrize("n", [2, 40])
+def test_bound_is_servable_origin_cut(n):
+    # five requests from one cell, which has B + c = 3 ways out, and one
+    # request from another cell whose deadline is before its earliest arrival
+    a = n // 2 - 1
+    reqs = [PacketRequest(i, a, a + 1 + i % (n - 1 - a), 5) for i in range(5)]
+    late = PacketRequest(5, 0, n - 1, 1, deadline=n - 1)
+    with pytest.warns(UserWarning, match="never be served"):
+        inst = Instance(n, 2, 1, (*reqs, late))
+    assert fractional_upper_bound(inst) == 3.0
+    _, report = solve_instance(inst)
+    assert report.frac_bound == 3.0 and report.throughput <= 3
+
+
+@st.composite
+def tiny_instances(draw):
+    n = draw(st.integers(2, 10))
+    reqs = []
+    for i in range(draw(st.integers(0, 8))):
+        a = draw(st.integers(0, n - 2))
+        b = draw(st.integers(a + 1, n - 1))
+        t = draw(st.integers(1, 4))
+        # slack below 0 makes the request unservable
+        slack = draw(st.none() | st.integers(-2, 4))
+        reqs.append(PacketRequest(i, a, b, t,
+                                  None if slack is None else t + b - a + slack))
+    return Instance(n, draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+                    tuple(reqs))
+
+
+@pytest.mark.filterwarnings("ignore:.*never be served.*")
+@settings(max_examples=200, deadline=None)
+@given(tiny_instances(), st.integers(0, 3))
+def test_solve_against_oracle_on_tiny_instances(inst, seed):
+    packing, report = solve_instance(inst, seed=seed)
+    verdict = validate_schedule(inst, packing_to_schedule(inst, packing))
+    assert verdict.ok, verdict.violations
+    assert report.throughput == len(packing) <= report.frac_bound
+    # The oracle optimum over paths of at most ``cap`` actions is a real
+    # schedule, so the bound must cover it, and with ``cap`` no shorter
+    # than every solver path it covers the solver.  A cap of the longest
+    # solver path keeps the oracle fast: at its default cap it took 13 s
+    # on some eight-request instances at n=4.
+    longest = max([len(p) for p in packing.values()]
+                  + [r.distance for r in inst.requests], default=1)
+    optimum = len(optimal_schedule(inst, path_len_cap=min(longest, 12)))
+    assert optimum <= report.frac_bound
+    if longest <= 12:
+        assert report.throughput <= optimum
+
+
 def test_solve_instance_tiny_networks_go_short():
     inst = Instance(2, 1, 1, (PacketRequest(0, 0, 1, 1),
                               PacketRequest(1, 0, 1, 1)))
-    packing, report = solve_instance(inst, compute_bound=False)
+    packing, report = solve_instance(inst)
     assert report.category == "short" and report.throughput == 2
 
 
@@ -309,6 +363,8 @@ def test_solve_instance_unknown_category():
     inst = Instance(2, 1, 1, ())
     with pytest.raises(ValueError):
         solve_instance(inst, category="bogus")
+    with pytest.raises(ValueError):
+        solve_instance(inst, category="all")
 
 
 # ---------------------------------------------------------------------------
