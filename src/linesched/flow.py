@@ -30,6 +30,18 @@ of price >= alpha while the total price volume a feasible flow can pay is at
 most D).  Evaluating it on the exponential prices of the final loads, plus
 the trivial bounds (request count, ``origin_cut``), gives a certified
 optimality gap that is real whatever the loop dynamics did.
+
+Both sides spend their time in one cheapest-path DP over a request's
+window, a band of grid rows ``a..b-1`` and ``hop budget - distance + 1``
+columns (``_window_shortest``).  The packing loop runs it one request at a
+time, since every routed path reprices the grid: windows of at most
+``_SCALAR_COLS`` columns run their rows as Python floats, wider ones as
+in-place numpy rows.  The dual sweeps price the grid once per sharpness, so
+one lockstep DP advances every request's window row by row
+(``_sweep_shortest``) instead of one DP per request, unless the band is too
+small to pay for its set-up (``_LOCKSTEP_ROWS``).  All three make the same
+IEEE operations in the same order on every window cell, so they agree bit
+for bit, and which one runs never changes a flow, a bound or a digest.
 """
 
 from __future__ import annotations
@@ -40,6 +52,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .grid import GridPath, request_origin
 from .model import PacketRequest, SolverInvariantError, request_rng
@@ -222,17 +235,36 @@ class _PackState:
         self.kind = {"s": (self.store_load, self.store_cost, store_cap),
                      "f": (self.fwd_load, self.fwd_cost, fwd_cap)}
 
-    def residual(self, kind: str, p: tuple[int, int]) -> float:
-        load, _, cap = self.kind[kind]
-        return cap - load[p]
+    def route(self, row: int, col: int, moves: str,
+              demand: float) -> tuple[float, list[tuple[str, int, int]]]:
+        """Push up to ``demand`` units along one window path, as far as its
+        residual allows, and reprice its edges.
 
-    def add_load(self, kind: str, p: tuple[int, int], q: float) -> None:
-        load, cost, cap = self.kind[kind]
-        load[p] += q
-        if cap - load[p] <= cap * _SATURATED:
-            cost[p] = _BLOCKED
-        else:
-            cost[p] = math.exp(self.eta * (load[p] / cap - 1.0)) / cap
+        Returns the amount (0 if the path has no residual) and the path's
+        edge keys ``(kind, row, column)`` in path order, with columns back
+        in grid coordinates.  The loads and price arguments are computed
+        in numpy, but each exponential is ``math.exp`` on a Python float,
+        so the prices equal the one-edge-at-a-time formula bit for bit.
+        """
+        fwd = np.frombuffer(moves.encode(), dtype=np.uint8) == ord("f")
+        rows = np.cumsum(fwd) - fwd + row
+        cols = np.arange(len(moves)) + (row + col) - rows
+        edges = [(self.kind[k], (rows[sel], cols[sel]))
+                 for k, sel in (("s", ~fwd), ("f", fwd))]
+        quantum = demand
+        for (load, _, cap), p in edges:
+            if p[0].size:
+                quantum = min(quantum, (cap - load[p]).min())
+        if quantum <= 0.0:
+            return 0.0, []
+        for (load, cost, cap), p in edges:
+            x = load[p] + quantum
+            load[p] = x
+            arg = (self.eta * (x / cap - 1.0)).tolist()
+            price = np.array(list(map(math.exp, arg))) / cap
+            price[cap - x <= cap * _SATURATED] = _BLOCKED
+            cost[p] = price
+        return quantum, list(zip(moves, rows.tolist(), (cols + self.off).tolist()))
 
     def prices_at(self, eta: float) -> tuple[np.ndarray, np.ndarray, float]:
         """Unmasked exponential prices for the dual bound, plus their volume."""
@@ -245,46 +277,105 @@ class _PackState:
         return prices[0], prices[1], volume
 
 
-def _window_shortest(store_cost: np.ndarray, fwd_cost: np.ndarray,
-                     req: PacketRequest, g0: int, s: int) -> tuple[float, int, np.ndarray]:
-    """Cheapest-path DP over one request's window under the given prices.
+# windows of at most this many columns run their DP rows as Python floats:
+# there numpy's per-call overhead outweighs its per-column speed (measured
+# crossover 16-24 columns, at 20 and at 127 rows)
+_SCALAR_COLS = 16
 
-    Rows sweep top-down; within a row the prefix-minimum trick folds all
-    store chains in one vector pass.  The destination row admits no stores
-    (paths end on their first touch of row b).  Returns the best end value,
-    its column, and the full table for backtracking.
-    """
-    d = req.distance
-    dist = np.empty((d + 1, s + 1))
-    dist[0, 0] = 0.0
-    if s > 0:
-        np.cumsum(store_cost[req.a, g0:g0 + s], out=dist[0, 1:])
+# a lockstep dual sweep costs about as much per step as this many single
+# DP rows, so it runs only when the per-request DPs would make at least this
+# many rows per lockstep step
+_LOCKSTEP_ROWS = 8
+
+
+def _rows_numpy(store_w: np.ndarray, fwd_w: np.ndarray) -> tuple[float, int, np.ndarray]:
+    """The window DP of ``_window_shortest`` in whole-row numpy steps."""
+    d, w = fwd_w.shape
+    # every row's store prefix sums in one call; row k of the table is
+    # written in place by four ufunc calls
+    seg = np.empty((d, w))
+    seg[:, 0] = 0.0
+    np.add.accumulate(store_w, axis=1, out=seg[:, 1:])
+    dist = np.empty((d + 1, w))
+    dist[0] = seg[0]
+    add, sub, low = np.add, np.subtract, np.minimum.accumulate
     for k in range(1, d):
-        row = req.a + k
-        enter = dist[k - 1] + fwd_cost[row - 1, g0:g0 + s + 1]
-        if s > 0:
-            seg = np.empty(s + 1)
-            seg[0] = 0.0
-            np.cumsum(store_cost[row, g0:g0 + s], out=seg[1:])
-            low = enter - seg
-            np.minimum.accumulate(low, out=low)
-            dist[k] = low + seg
-        else:
-            dist[k] = enter
-    dist[d] = dist[d - 1] + fwd_cost[req.b - 1, g0:g0 + s + 1]
-    j = int(np.argmin(dist[d]))
+        row = dist[k]
+        add(dist[k - 1], fwd_w[k - 1], out=row)
+        sub(row, seg[k], out=row)
+        low(row, out=row)
+        add(row, seg[k], out=row)
+    add(dist[d - 1], fwd_w[d - 1], out=dist[d])
+    j = int(dist[d].argmin())
     return float(dist[d, j]), j, dist
 
 
-def _backtrack(store_cost: np.ndarray, fwd_cost: np.ndarray,
-               req: PacketRequest, g0: int, dist: np.ndarray, j: int) -> str:
+def _rows_scalar(store_w: list[list[float]],
+                 fwd_w: list[list[float]]) -> tuple[float, int, list[list[float]]]:
+    """The window DP of ``_window_shortest`` one float at a time."""
+    d = len(fwd_w)
+    prev = [0.0]
+    acc = 0.0
+    for x in store_w[0]:
+        acc += x
+        prev.append(acc)
+    dist = [prev]
+    cols = range(1, len(prev))
+    for k in range(1, d):
+        f, st = fwd_w[k - 1], store_w[k]
+        low = prev[0] + f[0]
+        row = [low]
+        seg = 0.0
+        for j in cols:
+            seg += st[j - 1]
+            v = prev[j] + f[j] - seg
+            if v < low:
+                low = v
+            row.append(low + seg)
+        dist.append(row)
+        prev = row
+    last = [p + f for p, f in zip(prev, fwd_w[d - 1])]
+    dist.append(last)
+    best = min(last)
+    return best, last.index(best), dist
+
+
+def _window_shortest(store_cost: np.ndarray, fwd_cost: np.ndarray,
+                     req: PacketRequest, g0: int, s: int):
+    """Cheapest-path DP over one request's window under the given prices.
+
+    Table row ``k`` holds the cheapest price of reaching each window cell of
+    grid row ``a + k``.  Rows sweep top-down: a row enters from the row above
+    through the forward edges, then the prefix-minimum trick folds all store
+    chains in one pass, ``min.accumulate(enter - seg) + seg`` with ``seg``
+    the running sum of the row's store prices.  The destination row admits
+    no stores (paths end on their first touch of row b).
+
+    Windows of at most ``_SCALAR_COLS`` columns run the rows as Python
+    floats (``_rows_scalar``) over one ``tolist`` copy of the window's
+    prices; wider ones run them as numpy calls writing into one table
+    (``_rows_numpy``).  Both make the same IEEE additions, subtractions and
+    comparisons in the same order, left to right along each row, so the
+    table, the best value and its first-minimum column agree bit for bit.
+
+    Returns the best end value, its column, the table, and the window's
+    store and forward prices, for ``_backtrack``.
+    """
+    store_w = store_cost[req.a:req.b, g0:g0 + s]
+    fwd_w = fwd_cost[req.a:req.b, g0:g0 + s + 1]
+    if s + 1 <= _SCALAR_COLS:
+        store_w, fwd_w = store_w.tolist(), fwd_w.tolist()
+        return (*_rows_scalar(store_w, fwd_w), store_w, fwd_w)
+    return (*_rows_numpy(store_w, fwd_w), store_w, fwd_w)
+
+
+def _backtrack(dist, store_w, fwd_w, j: int) -> str:
+    """Moves of the cheapest path ending in column ``j`` of a DP table."""
     moves = ["f"]
-    k = req.distance - 1
+    k = len(dist) - 2
     while k > 0 or j > 0:
-        up = (dist[k - 1, j] + fwd_cost[req.a + k - 1, g0 + j]
-              if k > 0 else math.inf)
-        left = (dist[k, j - 1] + store_cost[req.a + k, g0 + j - 1]
-                if j > 0 else math.inf)
+        up = dist[k - 1][j] + fwd_w[k - 1][j] if k > 0 else math.inf
+        left = dist[k][j - 1] + store_w[k][j - 1] if j > 0 else math.inf
         if up <= left:
             moves.append("f")
             k -= 1
@@ -293,6 +384,87 @@ def _backtrack(store_cost: np.ndarray, fwd_cost: np.ndarray,
             j -= 1
     moves.reverse()
     return "".join(moves)
+
+
+def _row_view(price: np.ndarray, pad: int) -> np.ndarray:
+    """Read-only view whose row ``i`` is the ``pad`` prices from flat index
+    ``i`` of ``price`` on, over a copy with ``pad`` spare ``_BLOCKED``
+    entries at the end.  A read past the end of a grid row runs on into the
+    next one; the lockstep DP only ever reads it into junk columns."""
+    flat = np.empty(price.size + pad)
+    flat[:price.size] = price.ravel()
+    flat[price.size:] = _BLOCKED
+    return as_strided(flat, (price.size + 1, pad), (flat.itemsize,) * 2,
+                      writeable=False)
+
+
+def _sweep_shortest(store_p: np.ndarray, fwd_p: np.ndarray,
+                    reqs: Sequence[PacketRequest], gcol0: Sequence[int],
+                    slack: Sequence[int]) -> np.ndarray:
+    """Cheapest-path value of every request under one fixed price vector.
+
+    One lockstep DP over all requests: they are sorted by distance, longest
+    first, and step ``k`` advances row ``k`` of every request whose distance
+    is at least ``k``.  Each step reads one row slice per request
+    (``_row_view``) and trims all of them to the widest window still
+    active; in a band, slack is the hop cap minus the distance, so the deep
+    rows hold only narrow windows.  A slice's columns beyond the request's
+    own window hold junk, but every step is elementwise or a left-to-right
+    prefix pass (sequential ``add.accumulate``, ``minimum.accumulate``), so
+    junk never reaches the columns inside the window, and the final minimum
+    masks it off.  Those columns see the same IEEE operations in the same
+    order as in ``_window_shortest`` (column 0, whose store sum is 0, skips
+    an exact ``- 0.0`` and ``+ 0.0``), so the values come out equal bit for
+    bit.
+    """
+    M = len(reqs)
+    order = sorted(range(M), key=lambda i: -reqs[i].distance)
+    distance = np.array([reqs[i].distance for i in order])
+    a = np.array([reqs[i].a for i in order])
+    g0 = np.array([gcol0[i] for i in order])
+    s = np.array([slack[i] for i in order])
+    # widest window among the first m requests, and how many requests have
+    # distance >= k, for every k
+    width = (np.maximum.accumulate(s) + 1).tolist()
+    reach = np.searchsorted(-distance, -np.arange(int(distance[0]) + 2),
+                            side="right").tolist()
+    pad = width[-1]
+    store_rows, fwd_rows = _row_view(store_p, pad), _row_view(fwd_p, pad)
+    # flat index of every request's current store and forward row slice
+    sw, fw = store_p.shape[1], fwd_p.shape[1]
+    sidx, fidx = a * sw + g0, a * fw + g0
+    cols = np.arange(pad)
+
+    best = np.empty(M)
+    # one DP row per request, written in place step after step
+    dist = np.zeros((M, pad))
+    if pad > 1:
+        np.add.accumulate(store_rows[sidx, :pad - 1], axis=1, out=dist[:, 1:])
+    for k in range(1, len(reach) - 1):
+        m, inner = reach[k], reach[k + 1]
+        w = width[m - 1]
+        row = dist[:m, :w]
+        np.add(row, fwd_rows[fidx[:m], :w], out=row)
+        fidx += fw
+        if inner < m:  # requests with distance k end on this row
+            done = row[inner:]
+            done[cols[:w] > s[inner:m, None]] = np.inf
+            best[inner:m] = done.min(axis=1)
+        if inner == 0:
+            break
+        sidx += sw
+        w = width[inner - 1]
+        row = dist[:inner, :w]
+        if w > 1:
+            seg = store_rows[sidx[:inner], :w - 1]
+            np.add.accumulate(seg, axis=1, out=seg)
+            low = row[:, 1:]
+            np.subtract(low, seg, out=low)
+            np.minimum.accumulate(row, axis=1, out=row)
+            np.add(low, seg, out=low)
+    out = np.empty(M)
+    out[order] = best
+    return out
 
 
 def origin_cut(requests: Iterable[PacketRequest], store_cap: float,
@@ -361,40 +533,40 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
         i = active.popleft()
         r = reqs[i]
         g0, s = state.gcol0[i], state.slack[i]
-        best, j, dist = _window_shortest(state.store_cost, state.fwd_cost, r, g0, s)
+        best, j, dist, store_w, fwd_w = _window_shortest(
+            state.store_cost, state.fwd_cost, r, g0, s)
         dp_count += 1
         if best >= _BLOCKED_ABOVE:
             continue  # no residual path left; permanently blocked
-        path = GridPath(r.a, g0, _backtrack(state.store_cost, state.fwd_cost,
-                                            r, g0, dist, j))
         # quantum: bounded by the residual along the path and the demand
-        quantum = 1.0 - raw[i]
-        for mv, row, col in path.edges():
-            quantum = min(quantum, state.residual(mv, (row, col)))
+        quantum, keys = state.route(r.a, g0, _backtrack(dist, store_w, fwd_w, j),
+                                    1.0 - raw[i])
         if quantum <= 0.0:
             continue
         edges = per_edges[i]
-        for mv, row, col in path.edges():
-            state.add_load(mv, (row, col), quantum)
-            key = (mv, row, col + state.off)
+        for key in keys:
             edges[key] = edges.get(key, 0.0) + quantum
         raw[i] += quantum
         if raw[i] < 1.0 - 1e-12:
             active.append(i)
 
     primal = float(raw.sum())
+    distances = [r.distance for r in reqs]
+    lockstep = sum(distances) >= _LOCKSTEP_ROWS * max(distances)
     # dual sweeps on a small ladder of price sharpnesses; every candidate is
     # a valid bound, the sharpness only decides how tight it comes out
     for eta_d in (eta, 2.0 * eta):
         store_p, fwd_p, volume = state.prices_at(eta_d)
         virt_p = np.exp(eta_d * (raw - 1.0))
         volume += float(virt_p.sum())
-        alpha = math.inf
-        for i, r in enumerate(reqs):
-            best, _, _ = _window_shortest(store_p, fwd_p, r, state.gcol0[i],
-                                          state.slack[i])
-            dp_count += 1
-            alpha = min(alpha, best + float(virt_p[i]))
+        if lockstep:
+            best = _sweep_shortest(store_p, fwd_p, reqs, state.gcol0, state.slack)
+        else:
+            best = np.array([_window_shortest(store_p, fwd_p, r, state.gcol0[i],
+                                              state.slack[i])[0]
+                             for i, r in enumerate(reqs)])
+        dp_count += M  # one cheapest path per request
+        alpha = float((best + virt_p).min())
         if 0 < alpha < _BLOCKED_ABOVE:
             dual_best = min(dual_best, volume / alpha)
     dual_best = max(dual_best, primal)

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from linesched import flow
 from linesched.flow import (
     FractionalMCF,
     MaxFlow,
@@ -12,7 +15,7 @@ from linesched.flow import (
     origin_cut,
     randomized_round,
 )
-from linesched.grid import request_origin
+from linesched.grid import GridPath, request_origin
 from linesched.model import PacketRequest
 
 
@@ -135,6 +138,66 @@ def test_mcf_tight_hop_bound_forces_direct_path():
         max_throughput_mcf(reqs, n=4, store_cap=1.0, fwd_cap=1.0, hop_bounds={0: 1})
 
 
+def lp_optimum(reqs, store_cap, fwd_cap, hops) -> float:
+    """Optimum of the LP that ``max_throughput_mcf`` approximates, by HiGHS.
+
+    Arc formulation over each request's window (rows ``a..b-1``, columns
+    ``t - a`` up to its hop budget minus its distance): one variable per
+    request and window edge, plus the accepted amount ``v_i`` in [0, 1].
+    Every window cell above the destination row conserves flow, the origin
+    emits ``v_i``, and the store and forward edges of the grid carry
+    ``store_cap`` and ``fwd_cap`` in total.
+    """
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_matrix
+
+    M = len(reqs)
+    n_var = M
+    eq = []                     # (cell row, variable, coefficient)
+    shared: dict[tuple[str, int, int], list[int]] = {}
+    n_cell = 0
+    for i, r in enumerate(reqs):
+        row0, col0 = request_origin(r)
+        last = col0 + hops[r.id] - r.distance
+        cell = {}
+        for row in range(r.a, r.b):
+            for col in range(col0, last + 1):
+                cell[row, col] = n_cell
+                n_cell += 1
+        eq.append((cell[row0, col0], i, -1.0))
+        for row in range(r.a, r.b):
+            for col in range(col0, last + 1):
+                for kind, head in (("f", (row + 1, col)), ("s", (row, col + 1))):
+                    if kind == "s" and col == last:
+                        continue
+                    eq.append((cell[row, col], n_var, 1.0))
+                    if head in cell:
+                        eq.append((cell[head], n_var, -1.0))
+                    shared.setdefault((kind, row, col), []).append(n_var)
+                    n_var += 1
+    rows, cols, vals = zip(*eq)
+    a_eq = coo_matrix((vals, (rows, cols)), shape=(n_cell, n_var))
+    ub = [(k, v) for k, e in enumerate(shared.values()) for v in e]
+    a_ub = coo_matrix(([1.0] * len(ub), tuple(zip(*ub))), shape=(len(shared), n_var))
+    b_ub = [store_cap if kind == "s" else fwd_cap for kind, _, _ in shared]
+    cost = np.zeros(n_var)
+    cost[:M] = -1.0
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.zeros(n_cell),
+                  bounds=[(0, 1)] * M + [(0, None)] * (n_var - M), method="highs")
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def check_between_primal_and_lp(mcf: FractionalMCF, reqs, store_cap, fwd_cap, hops):
+    """``throughput <= LP optimum <= dual_bound``, and the certified gap is
+    at least the true gap to the LP optimum."""
+    lp = lp_optimum(reqs, store_cap, fwd_cap, hops)
+    assert mcf.throughput <= lp + 1e-7
+    assert lp <= mcf.dual_bound + 1e-7
+    if lp > 0:
+        assert 1.0 - mcf.throughput / lp <= mcf.cert_gap + 1e-7
+
+
 def test_mcf_random_instance_feasible_and_certified():
     rng = np.random.default_rng(0)
     reqs = []
@@ -148,8 +211,30 @@ def test_mcf_random_instance_feasible_and_certified():
     check_feasible(mcf, 0.2, 0.2, hops)
     assert mcf.throughput <= mcf.dual_bound + 1e-9
     assert mcf.congestion <= 1.0 + 1e-9
-    if mcf.certified:
-        assert mcf.cert_gap <= 0.05 + 1e-9
+    check_between_primal_and_lp(mcf, reqs, 0.2, 0.2, hops)
+
+
+@st.composite
+def tiny_mcf_inputs(draw):
+    n = draw(st.integers(2, 8))
+    reqs, hops = [], {}
+    for i in range(draw(st.integers(1, 8))):
+        a = draw(st.integers(0, n - 2))
+        b = draw(st.integers(a + 1, n - 1))
+        reqs.append(PacketRequest(i, a, b, draw(st.integers(a, a + 4))))
+        hops[i] = b - a + draw(st.integers(0, 4))
+    store_cap = draw(st.sampled_from([0.2, 0.5, 1.0, 2.0]))
+    fwd_cap = draw(st.sampled_from([0.2, 0.5, 1.0, 2.0]))
+    return reqs, n, store_cap, fwd_cap, hops
+
+
+@settings(max_examples=60, deadline=None)
+@given(tiny_mcf_inputs())
+def test_mcf_between_primal_and_lp_optimum(inputs):
+    reqs, n, store_cap, fwd_cap, hops = inputs
+    mcf = max_throughput_mcf(reqs, n, store_cap, fwd_cap, hops)
+    check_feasible(mcf, store_cap, fwd_cap, hops)
+    check_between_primal_and_lp(mcf, reqs, store_cap, fwd_cap, hops)
 
 
 def test_mcf_empty_and_duplicate_ids():
@@ -158,6 +243,126 @@ def test_mcf_empty_and_duplicate_ids():
     dup = [PacketRequest(0, 0, 1, 1), PacketRequest(0, 0, 1, 2)]
     with pytest.raises(ValueError, match="duplicate"):
         max_throughput_mcf(dup, n=4, store_cap=1.0, fwd_cap=1.0, hop_bounds=4)
+
+
+# ---------------------------------------------------------------------------
+# Cheapest-path DPs: the lockstep dual sweep and the two row paths.
+
+def bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def price_grids(draw):
+    """Random prices on an ``n``-row grid of ``W`` columns and requests whose
+    windows fit in it, with ``_BLOCKED`` entries and ties among the prices."""
+    n = draw(st.integers(2, 9))
+    width = draw(st.integers(1, 2 * flow._SCALAR_COLS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        store = rng.uniform(1e-3, 2.0, (n, width - 1))
+        fwd = rng.uniform(1e-3, 2.0, (n - 1, width))
+    else:  # few distinct values, so that paths tie
+        store = rng.choice([0.25, 0.5, 1.0], (n, width - 1))
+        fwd = rng.choice([0.25, 0.5, 1.0], (n - 1, width))
+    blocked = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    store[rng.random(store.shape) < blocked] = flow._BLOCKED
+    fwd[rng.random(fwd.shape) < blocked] = flow._BLOCKED
+    reqs, gcol0, slack = [], [], []
+    for i in range(draw(st.integers(1, 10))):
+        a = draw(st.integers(0, n - 2))
+        b = draw(st.integers(a + 1, n - 1))
+        g0 = draw(st.integers(0, width - 1))
+        # the widest slack reaches the grid's last column
+        s = draw(st.one_of(st.just(width - 1 - g0), st.integers(0, width - 1 - g0)))
+        reqs.append(PacketRequest(i, a, b, a + g0))
+        gcol0.append(g0)
+        slack.append(s)
+    return store, fwd, reqs, gcol0, slack
+
+
+@settings(max_examples=300, deadline=None)
+@given(price_grids())
+def test_lockstep_sweep_is_bit_equal_to_per_request_dps(grid):
+    store, fwd, reqs, gcol0, slack = grid
+    swept = flow._sweep_shortest(store, fwd, reqs, gcol0, slack)
+    one_by_one = [flow._window_shortest(store, fwd, r, gcol0[i], slack[i])[0]
+                  for i, r in enumerate(reqs)]
+    assert bits(swept) == bits(one_by_one)
+
+
+@settings(max_examples=300, deadline=None)
+@given(price_grids())
+def test_scalar_and_numpy_rows_agree(grid):
+    store, fwd, reqs, gcol0, slack = grid
+    for r, g0, s in zip(reqs, gcol0, slack):
+        store_w = store[r.a:r.b, g0:g0 + s]
+        fwd_w = fwd[r.a:r.b, g0:g0 + s + 1]
+        best_n, j_n, dist_n = flow._rows_numpy(store_w, fwd_w)
+        best_s, j_s, dist_s = flow._rows_scalar(store_w.tolist(), fwd_w.tolist())
+        assert (best_n.hex(), j_n) == (best_s.hex(), j_s)
+        assert dist_n.tolist() == dist_s
+        moves = flow._backtrack(dist_n, store_w, fwd_w, j_n)
+        assert flow._backtrack(dist_s, store_w.tolist(), fwd_w.tolist(), j_s) == moves
+        assert moves.count("f") == r.distance and moves[-1] == "f"
+        assert moves.count("s") == j_n <= s
+        # the dispatcher picks the row path by window width alone
+        got = flow._window_shortest(store, fwd, r, g0, s)
+        assert (got[0].hex(), got[1]) == (best_n.hex(), j_n)
+        assert isinstance(got[2], list) == (s + 1 <= flow._SCALAR_COLS)
+
+
+def test_row_paths_on_edge_windows():
+    # d = 1, s = 0, a two-row grid, and windows on both sides of the cutoff
+    for d, s in ((1, 0), (1, 5), (3, 0), (4, flow._SCALAR_COLS - 1),
+                 (4, flow._SCALAR_COLS), (2, 3 * flow._SCALAR_COLS)):
+        rng = np.random.default_rng(d * 100 + s)
+        store_w, fwd_w = rng.uniform(0.1, 1.0, (d, s)), rng.uniform(0.1, 1.0, (d, s + 1))
+        got_n = flow._rows_numpy(store_w, fwd_w)
+        got_s = flow._rows_scalar(store_w.tolist(), fwd_w.tolist())
+        assert got_n[:2] == got_s[:2]
+        assert got_n[2].tolist() == got_s[2]
+        assert (flow._backtrack(got_n[2], store_w, fwd_w, got_n[1])
+                == flow._backtrack(got_s[2], store_w.tolist(), fwd_w.tolist(), got_s[1]))
+    req = PacketRequest(0, 0, 1, 0)
+    fwd = np.array([[2.0, 0.5, 0.25]])
+    store = np.array([[1.0, 1.0], [flow._BLOCKED, flow._BLOCKED]])
+    assert flow._window_shortest(store, fwd, req, 0, 2)[:2] == (1.5, 1)
+    assert list(flow._sweep_shortest(store, fwd, [req], [0], [2])) == [1.5]
+
+
+def test_route_reprices_with_math_exp():
+    reqs = [PacketRequest(0, 0, 4, 1), PacketRequest(1, 1, 5, 2)]
+    state = flow._PackState(6, reqs, [9, 8], 0.7, 1.3, 0.05)
+    rng = np.random.default_rng(3)
+    routed = []
+    for step in range(40):
+        i = step % 2
+        r, g0, s = reqs[i], state.gcol0[i], state.slack[i]
+        stores = int(rng.integers(0, s + 1))
+        moves = "".join(rng.permutation(["f"] * (r.distance - 1) + ["s"] * stores)) + "f"
+        path = GridPath(r.a, g0, moves)
+        before = {(k, row, col): float(state.kind[k][0][row, col])
+                  for k, row, col in path.edges()}
+        residual = min(state.kind[k][2] - state.kind[k][0][row, col]
+                       for k, row, col in path.edges())
+        demand = float(rng.uniform(0.05, 0.6))
+        quantum, keys = state.route(r.a, g0, moves, demand)
+        if residual <= 0.0:
+            assert (quantum, keys) == (0.0, [])
+            continue
+        assert quantum == min(demand, residual)
+        assert keys == [(k, row, col + state.off) for k, row, col in path.edges()]
+        for kind, row, col in path.edges():
+            load, cost, cap = state.kind[kind]
+            assert load[row, col] == before[kind, row, col] + quantum
+            if cap - load[row, col] <= cap * flow._SATURATED:
+                assert cost[row, col] == flow._BLOCKED
+            else:
+                want = math.exp(state.eta * (float(load[row, col]) / cap - 1.0)) / cap
+                assert float(cost[row, col]).hex() == want.hex()
+        routed.append(quantum)
+    assert len(routed) > 5 and any(q < 0.05 for q in routed)  # some paths saturate
 
 
 # ---------------------------------------------------------------------------

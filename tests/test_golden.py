@@ -1,7 +1,7 @@
 """Golden end-to-end outputs of the command line.
 
 Pins the exact bytes of ``linesched solve`` (stdout, schedule file and
-``.trace.json`` sidecar) on two seeded instances, one of them also with a
+``.trace.json`` sidecar) on three seeded instances, one of them also with a
 forced band, and the CSV of a two-seed ``linesched bench`` run.  Refactors
 must leave every one of them unchanged; a change that alters schedules on
 purpose re-records these digests and says why.
@@ -28,6 +28,12 @@ SOLVES = {
     "uniform_64_150_medium": (
         ["--n", "64", "--M", "150", "--seed", "5"],
         ["--seed", "5", "--category", "medium"]),
+    # uniform distances with deadlines: every flow window is at most 5
+    # columns wide, and the trace pins the fractional dual bound in full
+    "uniform_deadline_96_300": (
+        ["--n", "96", "--M", "300", "--B", "2", "--c", "2", "--seed", "5",
+         "--deadline-slack", "4"],
+        ["--seed", "5"]),
 }
 
 BENCH = {"runs": [{"n": 64, "M": 150, "seeds": [5, 6]}]}
@@ -73,6 +79,11 @@ GOLDEN_SOLVES = {
         "stdout": "throughput 1\nfractional_upper_bound 150.000000\n",
         "schedule": "7264c3447c24a1142b4cb48c825363d97fdcf61518295cef34e17548ca0fc34d",
         "trace": "9e3c60a298157f7ae5864a6469fd16268863f089a166d69d1a56837b27ca5933",
+    },
+    "uniform_deadline_96_300": {
+        "stdout": "throughput 8\nfractional_upper_bound 300.000000\n",
+        "schedule": "33b7173f2fbed29165020503a28a186a2746e5d36915f45ac33317d3d80a564b",
+        "trace": "b09e658a032be823376f0cee73b6926f4c6ed6aee198d1c618ebe27a41ef9c20",
     },
 }
 
