@@ -64,8 +64,8 @@ from .pipeline import (
 from .oracle import (
     SizeLimitError,
     crossbar_feasible_bruteforce,
+    fractional_optimum,
     optimal_schedule,
-    optimal_throughput_exhaustive,
     quadrant_feasible_bruteforce,
 )
 

@@ -20,7 +20,7 @@ from .grid import (ScheduleFormatError, load_schedule, packing_to_schedule,
 from .model import (InstanceFormatError, SolverInvariantError,
                     gen_random_instance, instance_to_json, load_instance,
                     save_instance)
-from .pipeline import report_to_json, solve_instance
+from .pipeline import CATEGORY_CHOICES, report_to_json, solve_instance
 
 _CSV_COLUMNS = ["seed", "n", "B", "c", "M", "category",
                 "R_rnd", "R_fltr", "R_quad", "R_final",
@@ -202,9 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("instance", help="instance file")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--eps-gk", type=float, default=0.05,
-                   help="accuracy of the fractional solver")
+                   help="fractional solver's eps: sets the price sharpness "
+                        "ln(m/eps) over its m usable edges, and the gap "
+                        "under which a solve counts as certified")
     s.add_argument("--category", default="auto",
-                   choices=("auto", "very_short", "short", "medium", "long"),
+                   choices=CATEGORY_CHOICES,
                    help="run one band, or every nonempty band and keep the best (auto)")
     s.add_argument("--out", default=None,
                    help="schedule file; a <out>.trace.json sidecar is written too")

@@ -482,7 +482,7 @@ def origin_cut(requests: Iterable[PacketRequest], store_cap: float,
 
 def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
                        store_cap: float, fwd_cap: float,
-                       hop_bounds: int | Mapping[int, int], *,
+                       hop_bounds: Mapping[int, int], *,
                        eps: float = 0.05) -> FractionalMCF:
     """Fractionally accept as many requests as possible.
 
@@ -507,12 +507,10 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
         return FractionalMCF((), 0.0, 0.0, 0.0, 0, False, True)
     if len({r.id for r in reqs}) != M:
         raise ValueError("duplicate request ids")
-    hops = []
-    for r in reqs:
-        h = hop_bounds if isinstance(hop_bounds, int) else hop_bounds[r.id]
+    hops = [hop_bounds[r.id] for r in reqs]
+    for r, h in zip(reqs, hops):
         if h < r.distance:
             raise ValueError(f"request {r.id}: hop bound {h} below distance {r.distance}")
-        hops.append(h)
     dp_budget = _DP_PER_REQUEST * M + _DP_BASE
     state = _PackState(n, reqs, hops, store_cap, fwd_cap, eps)
     eta = state.eta

@@ -85,7 +85,7 @@ def round_up_to_multiple_of_6(x: float, minimum: int = 6) -> int:
 # Request categories.
 
 class Category(Enum):
-    VERY_SHORT = "very-short"
+    VERY_SHORT = "very_short"
     SHORT = "short"
     MEDIUM = "medium"
     LONG = "long"

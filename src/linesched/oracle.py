@@ -1,22 +1,25 @@
-"""Exact brute-force solvers, usable only at desk scale.
+"""Exact solvers that certify the fast code elsewhere in the package.
 
-Everything here exists to certify the fast code elsewhere in the package:
-``optimal_schedule`` is ground truth for whole instances, the quadrant and
-crossbar searches are ground truth for the two routing subproblems.  All
-three enforce hard size limits and raise :class:`SizeLimitError` beyond
-them; none of this is meant to scale.
+``optimal_schedule`` is ground truth for whole instances and
+``fractional_optimum`` for the relaxation the fractional solver
+approximates.  Both solve one arc formulation of the packing problem with
+HiGHS (Huangfu & Hall, Math. Prog. Comp. 2018), as a binary program and as
+a linear program.  The model shares no code or idea with the package's
+searches, so agreement with it is an independent check.  scipy is imported
+on first use, so that importing the package does not pay for it.
 
-Two deliberately different exhaustive strategies are kept side by side for
-the schedule problem (branch and bound over per-request path lists, and a
-subset-first enumerator) so tests can demand their agreement.
+The quadrant and crossbar searches are brute-force ground truth for the two
+routing subproblems.  They enforce hard size limits and raise
+:class:`SizeLimitError` beyond them.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterable, Sequence
+from itertools import combinations, product
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from .grid import GridPath, request_origin
 from .model import Instance, PacketRequest
@@ -25,156 +28,129 @@ from .routing import CrossbarProblem
 __all__ = [
     "SizeLimitError",
     "crossbar_feasible_bruteforce",
+    "fractional_optimum",
     "optimal_schedule",
-    "optimal_throughput_exhaustive",
     "quadrant_feasible_bruteforce",
 ]
-
-_MAX_REQUESTS = 8
-_MAX_NODES = 10
-_MAX_PATH_CAP = 12
 
 
 class SizeLimitError(ValueError):
     """The input is too large for an exhaustive search."""
 
 
-def _check_schedule_limits(instance: Instance, cap: int) -> None:
-    if len(instance.requests) > _MAX_REQUESTS:
-        raise SizeLimitError(
-            f"{len(instance.requests)} requests > {_MAX_REQUESTS}")
-    if instance.n > _MAX_NODES:
-        raise SizeLimitError(f"n={instance.n} > {_MAX_NODES}")
-    if cap > _MAX_PATH_CAP:
-        raise SizeLimitError(f"path cap {cap} > {_MAX_PATH_CAP}")
+Edge = tuple[str, int, int]
 
 
-def _default_cap(instance: Instance) -> int:
-    longest = max((r.distance for r in instance.requests), default=1)
-    return min(_MAX_PATH_CAP, instance.n + 2 * longest)
+def _arc_model(reqs: Sequence[PacketRequest], budgets: Sequence[int],
+               store_cap: float, fwd_cap: float, integral: bool,
+               ) -> tuple[float, list[float], list[dict[Edge, int]]]:
+    """Solve the arc formulation of the packing problem with HiGHS.
 
+    Request ``i`` takes paths of at most ``budgets[i]`` actions, so its
+    window spans rows ``a..b-1`` and columns ``col0..col0 + budgets[i] - d``
+    from its origin ``(a, col0)``.  The variables are the accepted amount
+    of each request, in request order, then one per request and window
+    edge.  Every window cell conserves flow, the origin emitting the
+    accepted amount; forward edges into row ``b`` deliver.  Each grid edge
+    carries at most ``store_cap`` or ``fwd_cap`` summed over the requests.
+    Every variable lies in [0, 1], and is binary when ``integral``.
 
-def _request_paths(req: PacketRequest, cap: int) -> list[GridPath]:
-    """Every path of at most cap actions delivering the request.
-
-    Delivery is the first touch of row b, so paths hold exactly
-    ``req.distance`` forward moves and end on one.  Order: forwards first,
-    which makes the all-forward path the head of the list.
+    Returns the optimum, the variable values and, per request, its window
+    edges mapped to their variables.
     """
-    if req.deadline is not None:
-        cap = min(cap, req.deadline - req.t)
-    dist = req.distance
-    if dist > cap:
-        return []
-    row, col = request_origin(req)
-    out: list[GridPath] = []
-    stack = [(0, "")]
-    while stack:
-        stores, moves = stack.pop()
-        if len(moves) - stores == dist:
-            out.append(GridPath(row, col, moves))
-            continue
-        if stores + dist < cap:
-            stack.append((stores + 1, moves + "s"))
-        stack.append((stores, moves + "f"))
-    return out
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_matrix
+
+    if not reqs:                                # HiGHS needs a variable
+        return 0.0, [], []
+    n_var = len(reqs)
+    eq: list[tuple[int, int, float]] = []       # (cell, variable, coefficient)
+    arcs: list[dict[Edge, int]] = []
+    n_cell = 0
+    for i, (r, budget) in enumerate(zip(reqs, budgets)):
+        col0 = request_origin(r)[1]
+        last = col0 + budget - r.distance
+        cell = {rc: n_cell + k for k, rc in enumerate(
+            product(range(r.a, r.b), range(col0, last + 1)))}
+        # the origin, first cell of the window, emits the accepted amount; a
+        # request without a window keeps that row alone, which pins it to 0
+        eq.append((n_cell, i, -1.0))
+        n_cell += len(cell) or 1
+        mine: dict[Edge, int] = {}
+        for (row, col), here in cell.items():
+            for kind, head in (("f", (row + 1, col)), ("s", (row, col + 1))):
+                if kind == "s" and col == last:
+                    continue
+                eq.append((here, n_var, 1.0))
+                if head in cell:
+                    eq.append((cell[head], n_var, -1.0))
+                mine[kind, row, col] = n_var
+                n_var += 1
+        arcs.append(mine)
+
+    edge_row: dict[Edge, int] = {}
+    ub = [(edge_row.setdefault(edge, len(edge_row)), var, 1.0)
+          for mine in arcs for edge, var in mine.items()]
+
+    def sparse(entries: list[tuple[int, int, float]], n_rows: int) -> coo_matrix:
+        rows, cols, vals = np.array(entries, dtype=float).reshape(-1, 3).T
+        return coo_matrix((vals, (rows.astype(int), cols.astype(int))),
+                          shape=(n_rows, n_var))
+
+    cost = np.zeros(n_var)
+    cost[:len(reqs)] = -1.0
+    caps = [store_cap if kind == "s" else fwd_cap for kind, _, _ in edge_row]
+    res = milp(cost, integrality=np.full(n_var, int(integral)),
+               bounds=Bounds(0.0, 1.0),
+               constraints=[LinearConstraint(sparse(eq, n_cell), 0.0, 0.0),
+                            LinearConstraint(sparse(ub, len(edge_row)), -np.inf, caps)],
+               options={"mip_rel_gap": 0.0})
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS did not solve the arc model: {res.message}")
+    return -float(res.fun), res.x.tolist(), arcs
 
 
 def optimal_schedule(instance: Instance,
                      path_len_cap: int | None = None) -> dict[int, GridPath]:
     """Maximum-cardinality packing with paths of at most path_len_cap actions.
 
-    Branch and bound over requests in id order; deterministic.  The default
-    cap is n + twice the longest distance, clipped to the enforced maximum
-    of 12; tests confirm the optimum has stabilized well below the clip.
+    The arc model as a binary program; each accepted request's path is read
+    back by walking its unit edges from its origin.  A deadline clips its
+    request's cap to ``deadline - t``.  The default cap is n + twice the
+    longest distance.
     """
-    cap = _default_cap(instance) if path_len_cap is None else path_len_cap
-    _check_schedule_limits(instance, cap)
+    if path_len_cap is None:
+        path_len_cap = instance.n + 2 * max(
+            (r.distance for r in instance.requests), default=1)
     reqs = sorted(instance.requests, key=lambda r: r.id)
-    candidates = [_request_paths(r, cap) for r in reqs]
-    origins = [request_origin(r) for r in reqs]
-
-    best: dict[int, GridPath] = {}
-    chosen: dict[int, GridPath] = {}
-    loads: dict[tuple[str, int, int], int] = defaultdict(int)
-
-    def fits(path: GridPath) -> bool:
-        return all(loads[e] < (instance.B if e[0] == "s" else instance.c)
-                   for e in path.edges())
-
-    def still_packable(idx: int) -> int:
-        # Every path leaves through its origin's store or forward edge, so
-        # residual out-capacity there caps what the suffix can still add.
-        waiting: dict[tuple[int, int], int] = defaultdict(int)
-        for j in range(idx, len(reqs)):
-            if candidates[j]:
-                waiting[origins[j]] += 1
-        total = 0
-        for (row, col), count in waiting.items():
-            residual = (instance.B - loads["s", row, col]
-                        + instance.c - loads["f", row, col])
-            total += min(count, residual)
-        return total
-
-    def search(idx: int) -> None:
-        nonlocal best
-        if len(chosen) + still_packable(idx) <= len(best):
-            return
-        if idx == len(reqs):
-            best = dict(chosen)
-            return
-        for path in candidates[idx]:
-            if fits(path):
-                for e in path.edges():
-                    loads[e] += 1
-                chosen[reqs[idx].id] = path
-                search(idx + 1)
-                del chosen[reqs[idx].id]
-                for e in path.edges():
-                    loads[e] -= 1
-        search(idx + 1)
-
-    search(0)
-    return best
+    budgets = [path_len_cap if r.deadline is None
+               else min(path_len_cap, r.deadline - r.t) for r in reqs]
+    _, x, arcs = _arc_model(reqs, budgets, instance.B, instance.c, integral=True)
+    packing: dict[int, GridPath] = {}
+    for i, r in enumerate(reqs):
+        if x[i] < 0.5:
+            continue
+        row, col = origin = request_origin(r)
+        moves = ""
+        while row < r.b:
+            if x[arcs[i]["f", row, col]] > 0.5:
+                moves, row = moves + "f", row + 1
+            else:
+                moves, col = moves + "s", col + 1
+        packing[r.id] = GridPath(*origin, moves)
+    return packing
 
 
-def optimal_throughput_exhaustive(instance: Instance,
-                                  path_len_cap: int | None = None) -> int:
-    """Same optimum as :func:`optimal_schedule` by an unrelated strategy.
+def fractional_optimum(requests: Sequence[PacketRequest], store_cap: float,
+                       fwd_cap: float, hop_bounds: Mapping[int, int]) -> float:
+    """Optimum of the relaxation ``flow.max_throughput_mcf`` approximates.
 
-    Enumerates request subsets from largest to smallest and checks each by
-    plain depth-first path assignment with no bounding at all.  Agreement
-    of the two functions is a standing test invariant.
+    The arc model with continuous variables: each request is accepted to
+    an amount in [0, 1] over paths of at most ``hop_bounds[id]`` actions,
+    and deadlines are left to the hop bounds, as in the fractional solver.
     """
-    cap = _default_cap(instance) if path_len_cap is None else path_len_cap
-    _check_schedule_limits(instance, cap)
-    reqs = sorted(instance.requests, key=lambda r: r.id)
-    paths = {r.id: _request_paths(r, cap) for r in reqs}
-
-    def assignable(subset: Sequence[PacketRequest],
-                   loads: dict[tuple[str, int, int], int]) -> bool:
-        if not subset:
-            return True
-        head, rest = subset[0], subset[1:]
-        for path in paths[head.id]:
-            edges = list(path.edges())
-            if all(loads[e] < (instance.B if e[0] == "s" else instance.c)
-                   for e in edges):
-                for e in edges:
-                    loads[e] += 1
-                if assignable(rest, loads):
-                    for e in edges:
-                        loads[e] -= 1
-                    return True
-                for e in edges:
-                    loads[e] -= 1
-        return False
-
-    for size in range(len(reqs), 0, -1):
-        for subset in combinations(reqs, size):
-            if assignable(subset, defaultdict(int)):
-                return size
-    return 0
+    return _arc_model(requests, [hop_bounds[r.id] for r in requests],
+                      store_cap, fwd_cap, integral=False)[0]
 
 
 # ---------------------------------------------------------------------------

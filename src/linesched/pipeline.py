@@ -63,32 +63,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PipelineParams:
-    """Knobs for one distance band (d_min, d_max]."""
+    """Knobs for one distance band with maximum distance ``d_max``."""
 
     d_max: float
-    k: int
-    lam: float
     eps: float
     seed: int
 
     def __post_init__(self) -> None:
-        if self.k < 6 or self.k % 6:
-            raise ValueError(f"tile side must be a positive multiple of 6, got {self.k}")
         if self.d_max < 1:
             raise ValueError(f"band maximum must be >= 1, got {self.d_max}")
-        # routing headroom: congested-edge crossers plus one quadrant side
-        # cap must fit into the half-tile lanes of a pass-through quadrant
-        if self.filter_threshold + self.side_limit > self.k // 2:
-            raise ValueError("filter and side caps exceed half-tile lanes")
-
-    @classmethod
-    def for_band(cls, d_max: float, *, seed: int, eps: float = 0.05) -> "PipelineParams":
-        k = round_up_to_multiple_of_6(6.0 * math.log(max(d_max, 1.0)))
-        return cls(d_max=d_max, k=k, lam=capacity_scale(), eps=eps, seed=seed)
 
     @property
-    def d_min(self) -> float:
-        return 3.0 * math.log(max(self.d_max, 1.0))
+    def k(self) -> int:
+        """Tile side: ``6 ln d_max`` rounded up to a multiple of 6."""
+        return round_up_to_multiple_of_6(6.0 * math.log(self.d_max))
+
+    @property
+    def lam(self) -> float:
+        return capacity_scale()
 
     @property
     def filter_threshold(self) -> float:
@@ -390,8 +382,8 @@ def run_medium_long(requests: Sequence[PacketRequest], n: int,
 # ---------------------------------------------------------------------------
 # Whole-instance dispatcher.
 
-_BAND_ORDER = (Category.VERY_SHORT, Category.SHORT, Category.MEDIUM,
-               Category.LONG)
+# "auto" runs every nonempty band; a band name runs that band alone
+CATEGORY_CHOICES = ("auto", *(cat.value for cat in Category))
 
 
 @dataclass
@@ -456,20 +448,20 @@ def solve_instance(instance: Instance, *, seed: int = 0, eps: float = 0.05,
     with both capacities replaced by min(B, c); the exact small-tile solver
     uses the true capacities.
     """
-    if category not in ("auto", "very_short", "short", "medium", "long"):
+    if category not in CATEGORY_CHOICES:
         raise ValueError(f"unknown category {category!r}")
     thr = Thresholds.from_n(instance.n)
     scaled = min(instance.B, instance.c)
-    bands: dict[str, list[PacketRequest]] = {c.name.lower(): [] for c in _BAND_ORDER}
+    bands: dict[str, list[PacketRequest]] = {cat.value: [] for cat in Category}
     for r in instance.requests:
-        bands[categorize(r.distance, thr, instance.B, instance.c).name.lower()].append(r)
+        bands[categorize(r.distance, thr, instance.B, instance.c).value].append(r)
 
     short_levels = {Category.VERY_SHORT: thr.very_short_max,
                     Category.SHORT: thr.short_max}
     packings: dict[str, dict[int, GridPath]] = {}
     traces: dict[str, StageTrace] = {}
-    for cat in _BAND_ORDER:
-        name = cat.name.lower()
+    for cat in Category:
+        name = cat.value
         if category not in ("auto", name) or not bands[name]:
             continue
         if cat in short_levels:
@@ -477,7 +469,7 @@ def solve_instance(instance: Instance, *, seed: int = 0, eps: float = 0.05,
                                          instance.B, instance.c)
         else:
             d_max = thr.medium_max if cat is Category.MEDIUM else float(instance.n - 1)
-            params = PipelineParams.for_band(d_max, seed=seed, eps=eps)
+            params = PipelineParams(d_max, eps=eps, seed=seed)
             packings[name], traces[name] = run_medium_long(
                 bands[name], instance.n, scaled, scaled, params)
 

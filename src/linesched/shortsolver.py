@@ -33,6 +33,8 @@ from .tiling import Tiling, partition_classes, shift_pairs
 
 __all__ = ["TileSolution", "solve_short", "solve_tile_exact"]
 
+_NODE_BUDGET = 200_000      # paths one tile's search may place
+
 
 @dataclass(frozen=True)
 class TileSolution:
@@ -78,7 +80,7 @@ def _tile_paths(req: PacketRequest, row1: int, col1: int, max_len: int,
 
 def solve_tile_exact(requests: Sequence[PacketRequest], tiling: Tiling,
                      tile: tuple[int, int], store_cap: int, fwd_cap: int,
-                     max_len: int, node_budget: int = 200_000) -> TileSolution:
+                     max_len: int) -> TileSolution:
     """Maximum-cardinality packing of confined paths inside one tile."""
     row0, col0 = tiling.tile_origin(tile)
     row1, col1 = row0 + tiling.k, col0 + tiling.k
@@ -101,7 +103,7 @@ def solve_tile_exact(requests: Sequence[PacketRequest], tiling: Tiling,
     loads: dict[tuple[str, int, int], int] = defaultdict(int)
     chosen: dict[int, GridPath] = {}
     nodes = 0
-    budget_left = node_budget
+    budget_left = _NODE_BUDGET
 
     def usable(edge: tuple[str, int, int]) -> bool:
         return loads[edge] < (store_cap if edge[0] == "s" else fwd_cap)
@@ -166,8 +168,7 @@ def solve_tile_exact(requests: Sequence[PacketRequest], tiling: Tiling,
 
 
 def solve_short(requests: Iterable[PacketRequest], level: float,
-                store_cap: int, fwd_cap: int,
-                node_budget: int = 200_000) -> dict[int, GridPath]:
+                store_cap: int, fwd_cap: int) -> dict[int, GridPath]:
     """Best-of-four-classes exact solver for distances up to ``level``.
 
     Returns a valid packing; unservable requests (deadline ahead of the
@@ -190,7 +191,7 @@ def solve_short(requests: Iterable[PacketRequest], level: float,
         packing: dict[int, GridPath] = {}
         for tile in sorted(by_tile):
             sol = solve_tile_exact(by_tile[tile], tiling, tile,
-                                   store_cap, fwd_cap, max_len, node_budget)
+                                   store_cap, fwd_cap, max_len)
             packing.update(sol.packing)
         if len(packing) > len(best):
             best = packing

@@ -359,7 +359,7 @@ def test_criterion_08_crossbar_exhaustive():
 # ---------------------------------------------------------------------------
 # Shared 20-seed pipeline sweep at n=256 for criteria 9 and 10.
 
-_K_LONG = PipelineParams.for_band(255.0, seed=0).k
+_K_LONG = PipelineParams(255.0, eps=0.05, seed=0).k
 
 
 @pytest.fixture(scope="module")
@@ -431,8 +431,8 @@ def test_criterion_10_end_to_end_ratio(ratio_sweep):
 def test_criterion_11_soft_deadlines():
     thr64 = Thresholds.from_n(64)
     band_k = {
-        "medium": PipelineParams.for_band(thr64.medium_max, seed=0).k,
-        "long": PipelineParams.for_band(63.0, seed=0).k,
+        "medium": PipelineParams(thr64.medium_max, eps=0.05, seed=0).k,
+        "long": PipelineParams(63.0, eps=0.05, seed=0).k,
     }
     worst = 0
     drops = 0

@@ -17,6 +17,7 @@ from linesched.flow import (
 )
 from linesched.grid import GridPath, request_origin
 from linesched.model import PacketRequest
+from linesched.oracle import fractional_optimum
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +95,7 @@ def check_feasible(mcf: FractionalMCF, store_cap, fwd_cap, hops):
             assert (path.row, path.col) == request_origin(f.request)
             assert path.moves.count("f") == f.request.distance
             assert path.moves[-1] == "f"
-            h = hops if isinstance(hops, int) else hops[f.request.id]
-            assert len(path) <= h
+            assert len(path) <= hops[f.request.id]
     for (kind, _, _), load in agg_edge_loads(mcf).items():
         cap = store_cap if kind == "s" else fwd_cap
         assert load <= cap + 1e-9
@@ -103,11 +103,11 @@ def check_feasible(mcf: FractionalMCF, store_cap, fwd_cap, hops):
 
 def test_mcf_single_request_uncongested():
     req = PacketRequest(0, 0, 3, 5)
-    mcf = max_throughput_mcf([req], n=4, store_cap=5.0, fwd_cap=5.0, hop_bounds=6)
+    mcf = max_throughput_mcf([req], n=4, store_cap=5.0, fwd_cap=5.0, hop_bounds={0: 6})
     assert 0.95 - 1e-9 <= mcf.throughput <= 1.0 + 1e-9
     assert mcf.cert_gap <= 0.05 + 1e-9
     assert not mcf.budget_exhausted
-    check_feasible(mcf, 5.0, 5.0, 6)
+    check_feasible(mcf, 5.0, 5.0, {0: 6})
 
 
 def test_origin_cut_caps_each_origin_cell():
@@ -121,11 +121,12 @@ def test_origin_cut_caps_each_origin_cell():
 def test_mcf_origin_cut_binds():
     # three identical requests leaving one cell through out-capacity 0.6
     reqs = [PacketRequest(i, 0, 1, 5) for i in range(3)]
-    mcf = max_throughput_mcf(reqs, n=2, store_cap=0.3, fwd_cap=0.3, hop_bounds=4)
+    hops = dict.fromkeys(range(3), 4)
+    mcf = max_throughput_mcf(reqs, n=2, store_cap=0.3, fwd_cap=0.3, hop_bounds=hops)
     assert mcf.throughput <= 0.6 + 1e-9
     assert mcf.throughput >= 0.95 * 0.6 - 1e-9
     assert mcf.dual_bound <= 0.6 + 1e-9
-    check_feasible(mcf, 0.3, 0.3, 4)
+    check_feasible(mcf, 0.3, 0.3, hops)
 
 
 def test_mcf_tight_hop_bound_forces_direct_path():
@@ -138,60 +139,10 @@ def test_mcf_tight_hop_bound_forces_direct_path():
         max_throughput_mcf(reqs, n=4, store_cap=1.0, fwd_cap=1.0, hop_bounds={0: 1})
 
 
-def lp_optimum(reqs, store_cap, fwd_cap, hops) -> float:
-    """Optimum of the LP that ``max_throughput_mcf`` approximates, by HiGHS.
-
-    Arc formulation over each request's window (rows ``a..b-1``, columns
-    ``t - a`` up to its hop budget minus its distance): one variable per
-    request and window edge, plus the accepted amount ``v_i`` in [0, 1].
-    Every window cell above the destination row conserves flow, the origin
-    emits ``v_i``, and the store and forward edges of the grid carry
-    ``store_cap`` and ``fwd_cap`` in total.
-    """
-    from scipy.optimize import linprog
-    from scipy.sparse import coo_matrix
-
-    M = len(reqs)
-    n_var = M
-    eq = []                     # (cell row, variable, coefficient)
-    shared: dict[tuple[str, int, int], list[int]] = {}
-    n_cell = 0
-    for i, r in enumerate(reqs):
-        row0, col0 = request_origin(r)
-        last = col0 + hops[r.id] - r.distance
-        cell = {}
-        for row in range(r.a, r.b):
-            for col in range(col0, last + 1):
-                cell[row, col] = n_cell
-                n_cell += 1
-        eq.append((cell[row0, col0], i, -1.0))
-        for row in range(r.a, r.b):
-            for col in range(col0, last + 1):
-                for kind, head in (("f", (row + 1, col)), ("s", (row, col + 1))):
-                    if kind == "s" and col == last:
-                        continue
-                    eq.append((cell[row, col], n_var, 1.0))
-                    if head in cell:
-                        eq.append((cell[head], n_var, -1.0))
-                    shared.setdefault((kind, row, col), []).append(n_var)
-                    n_var += 1
-    rows, cols, vals = zip(*eq)
-    a_eq = coo_matrix((vals, (rows, cols)), shape=(n_cell, n_var))
-    ub = [(k, v) for k, e in enumerate(shared.values()) for v in e]
-    a_ub = coo_matrix(([1.0] * len(ub), tuple(zip(*ub))), shape=(len(shared), n_var))
-    b_ub = [store_cap if kind == "s" else fwd_cap for kind, _, _ in shared]
-    cost = np.zeros(n_var)
-    cost[:M] = -1.0
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.zeros(n_cell),
-                  bounds=[(0, 1)] * M + [(0, None)] * (n_var - M), method="highs")
-    assert res.status == 0, res.message
-    return -res.fun
-
-
 def check_between_primal_and_lp(mcf: FractionalMCF, reqs, store_cap, fwd_cap, hops):
     """``throughput <= LP optimum <= dual_bound``, and the certified gap is
     at least the true gap to the LP optimum."""
-    lp = lp_optimum(reqs, store_cap, fwd_cap, hops)
+    lp = fractional_optimum(reqs, store_cap, fwd_cap, hops)
     assert mcf.throughput <= lp + 1e-7
     assert lp <= mcf.dual_bound + 1e-7
     if lp > 0:
@@ -238,11 +189,11 @@ def test_mcf_between_primal_and_lp_optimum(inputs):
 
 
 def test_mcf_empty_and_duplicate_ids():
-    empty = max_throughput_mcf([], n=4, store_cap=1.0, fwd_cap=1.0, hop_bounds=4)
+    empty = max_throughput_mcf([], n=4, store_cap=1.0, fwd_cap=1.0, hop_bounds={})
     assert empty.throughput == 0.0
     dup = [PacketRequest(0, 0, 1, 1), PacketRequest(0, 0, 1, 2)]
     with pytest.raises(ValueError, match="duplicate"):
-        max_throughput_mcf(dup, n=4, store_cap=1.0, fwd_cap=1.0, hop_bounds=4)
+        max_throughput_mcf(dup, n=4, store_cap=1.0, fwd_cap=1.0, hop_bounds={0: 4})
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,21 @@
-"""Brute-force oracle invariants: two strategies, one truth."""
+"""Exact oracle invariants: the arc model against independent searches."""
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import linesched
 from linesched.grid import packing_to_schedule, validate_schedule
 from linesched.model import Instance, PacketRequest
 from linesched.oracle import (SizeLimitError, crossbar_feasible_bruteforce,
-                              optimal_schedule, optimal_throughput_exhaustive,
-                              quadrant_feasible_bruteforce)
+                              optimal_schedule, quadrant_feasible_bruteforce)
 from linesched.routing import (CrossbarEntry, CrossbarProblem,
                                quadrant_route, route_crossbar)
+from linesched.shortsolver import solve_tile_exact
+from linesched.tiling import Tiling
 
 
 def _clones(m: int) -> Instance:
@@ -19,26 +24,34 @@ def _clones(m: int) -> Instance:
 
 def test_identical_requests_at_unit_caps():
     # one forwards; the second stores a step first; the third finds no room
-    # (both methods independently said 2, frozen here)
+    # (two exhaustive searches independently said 2, frozen here)
     assert len(optimal_schedule(_clones(1))) == 1
     assert len(optimal_schedule(_clones(2))) == 2
     assert len(optimal_schedule(_clones(3))) == 2
     for m in (1, 2, 3):
-        assert optimal_throughput_exhaustive(_clones(m)) == len(
-            optimal_schedule(_clones(m)))
+        sol = solve_tile_exact(_clones(m).requests, Tiling(6), (0, 0), 1, 1, 4)
+        assert len(sol.packing) == len(optimal_schedule(_clones(m)))
 
 
-def test_size_limits_enforced():
-    big = Instance(2, 1, 1, tuple(PacketRequest(i, 0, 1, 1) for i in range(9)))
-    with pytest.raises(SizeLimitError):
-        optimal_schedule(big)
+def test_schedule_oracle_has_no_size_limits():
+    # beyond the 8 requests, n = 10 and 12 actions the exhaustive searches took
+    assert len(optimal_schedule(_clones(9))) == 2
     wide = Instance(11, 1, 1, (PacketRequest(0, 0, 1, 1),))
-    with pytest.raises(SizeLimitError):
-        optimal_schedule(wide)
-    with pytest.raises(SizeLimitError):
-        optimal_schedule(_clones(1), path_len_cap=13)
-    with pytest.raises(SizeLimitError):
-        optimal_throughput_exhaustive(big)
+    assert len(optimal_schedule(wide)) == 1
+    assert len(optimal_schedule(_clones(1), path_len_cap=13)) == 1
+
+
+def test_competing_origins_at_long_caps():
+    # requests from different cells compete for the same downstream edges,
+    # where the origin cut does not bind: the branch and bound this oracle
+    # replaced took 13 s at cap 10 and 40 s at cap 12
+    spec = [(2, 3, 1, 2), (0, 2, 2, None), (0, 3, 3, None), (0, 2, 1, None),
+            (2, 3, 3, None), (0, 1, 2, None), (1, 3, 1, None), (0, 1, 1, None)]
+    inst = Instance(4, 1, 1, tuple(PacketRequest(i, *s) for i, s in enumerate(spec)))
+    for cap in (10, 12, 40):
+        packing = optimal_schedule(inst, cap)
+        assert len(packing) == 7, cap
+        assert validate_schedule(inst, packing_to_schedule(inst, packing)).ok
 
 
 def test_cap_insensitivity_at_desk_scale():
@@ -55,7 +68,9 @@ def test_cap_insensitivity_at_desk_scale():
         assert len(set(sizes.values())) == 1, sizes
 
 
-def test_branch_and_bound_matches_exhaustive():
+def test_milp_matches_tile_exact():
+    # origin columns 1..4 and at most 8 actions keep every path inside one
+    # tile of side 24, so the tile search sees the whole instance
     rng = random.Random(1)
     for trial in range(40):
         n = rng.randint(2, 6)
@@ -63,21 +78,35 @@ def test_branch_and_bound_matches_exhaustive():
         for i in range(rng.randint(1, 5)):
             a = rng.randint(0, n - 2)
             b = rng.randint(a + 1, min(n - 1, a + 3))
-            t = rng.randint(1, 4)
+            t = a + rng.randint(1, 4)
             deadline = t + (b - a) + rng.randint(0, 3) if rng.random() < 0.3 else None
             reqs.append(PacketRequest(i, a, b, t, deadline=deadline))
         inst = Instance(n, rng.randint(1, 2), rng.randint(1, 2), tuple(reqs))
         packing = optimal_schedule(inst, 8)
-        assert len(packing) == optimal_throughput_exhaustive(inst, 8), trial
-        verdict = validate_schedule(inst, packing_to_schedule(inst, packing))
-        assert verdict.ok, (trial, verdict.violations)
+        sol = solve_tile_exact(reqs, Tiling(24), (0, 0), inst.B, inst.c, 8)
+        assert sol.exact and len(packing) == len(sol.packing), trial
+        for got in (packing, sol.packing):
+            verdict = validate_schedule(inst, packing_to_schedule(inst, got))
+            assert verdict.ok, (trial, verdict.violations)
 
 
 def test_impossible_deadline_never_packed():
     with pytest.warns(UserWarning, match="never be served"):
         inst = Instance(5, 1, 1, (PacketRequest(0, 0, 3, 2, deadline=4),))
     assert optimal_schedule(inst) == {}
-    assert optimal_throughput_exhaustive(inst) == 0
+
+
+def test_package_solves_without_scipy():
+    # only the oracle needs scipy, and imports it on first use
+    src = str(Path(linesched.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); sys.modules['scipy'] = None\n"
+            "from linesched import Instance, PacketRequest, solve_instance\n"
+            "inst = Instance(8, 1, 1, tuple(PacketRequest(i, 0, 1 + i, 1)"
+            " for i in range(6)))\n"
+            "print(solve_instance(inst)[1].throughput)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert int(out.stdout) >= 1
 
 
 def test_quadrant_pins():

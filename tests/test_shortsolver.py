@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from linesched import shortsolver
 from linesched.grid import GridPath, packing_to_schedule, validate_schedule
 from linesched.model import Instance, PacketRequest, Thresholds, gen_random_instance
 from linesched.oracle import optimal_schedule
@@ -89,21 +90,23 @@ def test_solve_short_rejects_long_requests():
         solve_short([PacketRequest(0, 0, 9, 1)], 3.0, 1, 1)
 
 
-def test_budget_fallback_stays_valid():
+def test_budget_fallback_stays_valid(monkeypatch):
     reqs = [PacketRequest(i, 0, 2, 1 + i % 2) for i in range(6)]
     inst = Instance(12, 2, 2, tuple(reqs))
     full = solve_short(reqs, 3.0, 2, 2)
-    starved = solve_short(reqs, 3.0, 2, 2, node_budget=1)
+    monkeypatch.setattr(shortsolver, "_NODE_BUDGET", 1)
+    starved = solve_short(reqs, 3.0, 2, 2)
     assert len(starved) <= len(full)
     verdict = validate_schedule(inst, packing_to_schedule(inst, starved))
     assert verdict.ok
 
 
-def test_best_shift_class_wins():
+def test_best_shift_class_wins(monkeypatch):
     # requests far apart, all short; whatever shift is chosen the result
     # must cover at least a quarter of them (here: all are packable alone)
     reqs = [PacketRequest(i, 4 * i, 4 * i + 1, 50 * i + 1) for i in range(4)]
-    packing = solve_short(reqs, 2.0, 1, 1, node_budget=10_000)
+    monkeypatch.setattr(shortsolver, "_NODE_BUDGET", 10_000)
+    packing = solve_short(reqs, 2.0, 1, 1)
     assert len(packing) >= 1
     for rid, path in packing.items():
         assert path.moves.count("f") == 1
