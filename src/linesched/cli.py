@@ -89,6 +89,17 @@ class ConfigError(ValueError):
     pass
 
 
+_INT, _NUM, _STR = (int, "an integer"), ((int, float), "a number"), (str, "a string")
+_RUN_TYPES = {"n": _INT, "M": _INT, "B": _INT, "c": _INT, "arrival_rate": _NUM,
+              "distance": _STR, "deadline_slack": ((int, type(None)), "an integer or null"),
+              "eps_gk": _NUM, "category": _STR}
+
+
+def _is_type(value, kind) -> bool:
+    # bool is an int subclass; JSON true/false must not pass for a number
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _load_bench_config(path) -> list[dict]:
     with open(path, encoding="utf-8") as fh:
         try:
@@ -114,8 +125,12 @@ def _load_bench_config(path) -> list[dict]:
         if missing:
             raise ConfigError(f"runs[{i}]: missing keys {sorted(missing)}")
         merged = dict(_RUN_DEFAULTS, **row)
-        if not isinstance(merged["seeds"], list) or not merged["seeds"]:
-            raise ConfigError(f"runs[{i}]: seeds must be a non-empty list")
+        seeds = merged["seeds"]
+        if not (isinstance(seeds, list) and seeds and all(_is_type(s, int) for s in seeds)):
+            raise ConfigError(f"runs[{i}]: seeds must be a non-empty list of integers, got {seeds!r}")
+        for key, (kind, name) in _RUN_TYPES.items():
+            if not _is_type(merged[key], kind):
+                raise ConfigError(f"runs[{i}]: {key} must be {name}, got {merged[key]!r}")
         out.append(merged)
     return out
 

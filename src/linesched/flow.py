@@ -33,15 +33,15 @@ optimality gap that is real whatever the loop dynamics did.
 
 Both sides spend their time in one cheapest-path DP over a request's
 window, a band of grid rows ``a..b-1`` and ``hop budget - distance + 1``
-columns (``_window_shortest``).  The packing loop runs it one request at a
-time, since every routed path reprices the grid: windows of at most
-``_SCALAR_COLS`` columns run their rows as Python floats, wider ones as
-in-place numpy rows.  The dual sweeps price the grid once per sharpness, so
-one lockstep DP advances every request's window row by row
-(``_sweep_shortest``) instead of one DP per request, unless the band is too
-small to pay for its set-up (``_LOCKSTEP_ROWS``).  All three make the same
-IEEE operations in the same order on every window cell, so they agree bit
-for bit, and which one runs never changes a flow, a bound or a digest.
+columns (``_window_shortest``).  The packing loop runs one per turn, since
+every routed path reprices the grid.  A dual sweep, one per request, runs
+only when it could lower the bound (``_sweep_can_lower``).  Each request's
+all-forward path lies in its window, and its price, summed in the DP's own
+order, bounds the DP's best value from above in floats.  So when ``volume /
+min(straight + virt)`` is no lower than the bound in hand, neither is
+``volume / alpha``, and skipping the sweep leaves every bit of the bound as
+it was.  On long bands ``volume / alpha`` tends to be many times
+``origin_cut``, so the sweep is almost always skipped there.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .grid import GridPath, request_origin
 from .model import PacketRequest, SolverInvariantError, request_rng
@@ -282,11 +281,6 @@ class _PackState:
 # crossover 16-24 columns, at 20 and at 127 rows)
 _SCALAR_COLS = 16
 
-# a lockstep dual sweep costs about as much per step as this many single
-# DP rows, so it runs only when the per-request DPs would make at least this
-# many rows per lockstep step
-_LOCKSTEP_ROWS = 8
-
 
 def _rows_numpy(store_w: np.ndarray, fwd_w: np.ndarray) -> tuple[float, int, np.ndarray]:
     """The window DP of ``_window_shortest`` in whole-row numpy steps."""
@@ -386,85 +380,15 @@ def _backtrack(dist, store_w, fwd_w, j: int) -> str:
     return "".join(moves)
 
 
-def _row_view(price: np.ndarray, pad: int) -> np.ndarray:
-    """Read-only view whose row ``i`` is the ``pad`` prices from flat index
-    ``i`` of ``price`` on, over a copy with ``pad`` spare ``_BLOCKED``
-    entries at the end.  A read past the end of a grid row runs on into the
-    next one; the lockstep DP only ever reads it into junk columns."""
-    flat = np.empty(price.size + pad)
-    flat[:price.size] = price.ravel()
-    flat[price.size:] = _BLOCKED
-    return as_strided(flat, (price.size + 1, pad), (flat.itemsize,) * 2,
-                      writeable=False)
-
-
-def _sweep_shortest(store_p: np.ndarray, fwd_p: np.ndarray,
-                    reqs: Sequence[PacketRequest], gcol0: Sequence[int],
-                    slack: Sequence[int]) -> np.ndarray:
-    """Cheapest-path value of every request under one fixed price vector.
-
-    One lockstep DP over all requests: they are sorted by distance, longest
-    first, and step ``k`` advances row ``k`` of every request whose distance
-    is at least ``k``.  Each step reads one row slice per request
-    (``_row_view``) and trims all of them to the widest window still
-    active; in a band, slack is the hop cap minus the distance, so the deep
-    rows hold only narrow windows.  A slice's columns beyond the request's
-    own window hold junk, but every step is elementwise or a left-to-right
-    prefix pass (sequential ``add.accumulate``, ``minimum.accumulate``), so
-    junk never reaches the columns inside the window, and the final minimum
-    masks it off.  Those columns see the same IEEE operations in the same
-    order as in ``_window_shortest`` (column 0, whose store sum is 0, skips
-    an exact ``- 0.0`` and ``+ 0.0``), so the values come out equal bit for
-    bit.
-    """
-    M = len(reqs)
-    order = sorted(range(M), key=lambda i: -reqs[i].distance)
-    distance = np.array([reqs[i].distance for i in order])
-    a = np.array([reqs[i].a for i in order])
-    g0 = np.array([gcol0[i] for i in order])
-    s = np.array([slack[i] for i in order])
-    # widest window among the first m requests, and how many requests have
-    # distance >= k, for every k
-    width = (np.maximum.accumulate(s) + 1).tolist()
-    reach = np.searchsorted(-distance, -np.arange(int(distance[0]) + 2),
-                            side="right").tolist()
-    pad = width[-1]
-    store_rows, fwd_rows = _row_view(store_p, pad), _row_view(fwd_p, pad)
-    # flat index of every request's current store and forward row slice
-    sw, fw = store_p.shape[1], fwd_p.shape[1]
-    sidx, fidx = a * sw + g0, a * fw + g0
-    cols = np.arange(pad)
-
-    best = np.empty(M)
-    # one DP row per request, written in place step after step
-    dist = np.zeros((M, pad))
-    if pad > 1:
-        np.add.accumulate(store_rows[sidx, :pad - 1], axis=1, out=dist[:, 1:])
-    for k in range(1, len(reach) - 1):
-        m, inner = reach[k], reach[k + 1]
-        w = width[m - 1]
-        row = dist[:m, :w]
-        np.add(row, fwd_rows[fidx[:m], :w], out=row)
-        fidx += fw
-        if inner < m:  # requests with distance k end on this row
-            done = row[inner:]
-            done[cols[:w] > s[inner:m, None]] = np.inf
-            best[inner:m] = done.min(axis=1)
-        if inner == 0:
-            break
-        sidx += sw
-        w = width[inner - 1]
-        row = dist[:inner, :w]
-        if w > 1:
-            seg = store_rows[sidx[:inner], :w - 1]
-            np.add.accumulate(seg, axis=1, out=seg)
-            low = row[:, 1:]
-            np.subtract(low, seg, out=low)
-            np.minimum.accumulate(row, axis=1, out=row)
-            np.add(low, seg, out=low)
-    out = np.empty(M)
-    out[order] = best
-    return out
+def _sweep_can_lower(fwd_p: np.ndarray, reqs: Sequence[PacketRequest],
+                     gcol0: Sequence[int], virt_p: np.ndarray, volume: float,
+                     dual_best: float) -> bool:
+    """Whether a dual sweep at these prices could lower ``dual_best``; the
+    module docstring says why skipping it otherwise is exact."""
+    straight = np.array([np.add.accumulate(fwd_p[r.a:r.b, g0])[-1]
+                         for r, g0 in zip(reqs, gcol0)])
+    alpha = float((straight + virt_p).min())
+    return alpha > 0 and volume / alpha < dual_best
 
 
 def origin_cut(requests: Iterable[PacketRequest], store_cap: float,
@@ -496,6 +420,8 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
     ``cert_gap`` is the certified relative gap between the two, and
     ``certified`` says whether it came in under ``eps``.  Routing stops
     after ``12 M + 2000`` cheapest-path computations (``budget_exhausted``).
+    ``dp_count`` counts cheapest-path DPs: one per packing turn, and ``M``
+    for each of the two dual sweeps that ran.
     """
     if store_cap <= 0 or fwd_cap <= 0:
         raise ValueError("capacities must be positive")
@@ -549,20 +475,16 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
             active.append(i)
 
     primal = float(raw.sum())
-    distances = [r.distance for r in reqs]
-    lockstep = sum(distances) >= _LOCKSTEP_ROWS * max(distances)
     # dual sweeps on a small ladder of price sharpnesses; every candidate is
     # a valid bound, the sharpness only decides how tight it comes out
     for eta_d in (eta, 2.0 * eta):
         store_p, fwd_p, volume = state.prices_at(eta_d)
         virt_p = np.exp(eta_d * (raw - 1.0))
         volume += float(virt_p.sum())
-        if lockstep:
-            best = _sweep_shortest(store_p, fwd_p, reqs, state.gcol0, state.slack)
-        else:
-            best = np.array([_window_shortest(store_p, fwd_p, r, state.gcol0[i],
-                                              state.slack[i])[0]
-                             for i, r in enumerate(reqs)])
+        if not _sweep_can_lower(fwd_p, reqs, state.gcol0, virt_p, volume, dual_best):
+            continue
+        best = np.array([_window_shortest(store_p, fwd_p, r, g0, s)[0]
+                         for r, g0, s in zip(reqs, state.gcol0, state.slack)])
         dp_count += M  # one cheapest path per request
         alpha = float((best + virt_p).min())
         if 0 < alpha < _BLOCKED_ABOVE:

@@ -450,6 +450,9 @@ def solve_instance(instance: Instance, *, seed: int = 0, eps: float = 0.05,
     """
     if category not in CATEGORY_CHOICES:
         raise ValueError(f"unknown category {category!r}")
+    # checked here, not only in a fractional solve, which short bands skip
+    if not 0 < eps < 1:
+        raise ValueError(f"eps must be in (0, 1), got {eps}")
     thr = Thresholds.from_n(instance.n)
     scaled = min(instance.B, instance.c)
     bands: dict[str, list[PacketRequest]] = {cat.value: [] for cat in Category}

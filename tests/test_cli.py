@@ -151,6 +151,31 @@ def test_bench_config_validation(tmp_path, capsys):
     bad3 = tmp_path / "bad3.json"
     bad3.write_text("[]")
     assert main(["bench", str(bad3)]) == 2
+    capsys.readouterr()
+    for key, value in (("seeds", [1.5]), ("n", "16"), ("distance", 3), ("B", True)):
+        bad = tmp_path / f"bad_{key}.json"
+        bad.write_text(json.dumps({"runs": [{"n": 16, "M": 5, key: value}]}))
+        assert main(["bench", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: runs[0]: {key} must be")
+        assert captured.err.count("\n") == 1
+
+
+def test_eps_is_checked_when_only_short_bands_run(tmp_path, capsys):
+    inst = _gen(tmp_path, n=6, M=5, seed=1)
+    sched = tmp_path / "sched.json"
+    assert main(["solve", str(inst), "--out", str(sched)]) == 0
+    capsys.readouterr()
+    trace = json.loads((tmp_path / "sched.json.trace.json").read_text())
+    assert trace["stages"] == {}  # no fractional solve ran
+    for eps in ("2", "0", "-1", "nan"):
+        out = tmp_path / f"eps{eps}.json"
+        assert main(["solve", str(inst), "--eps-gk", eps, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: eps must be in (0, 1)")
+        assert not out.exists()
 
 
 def test_solver_invariant_failure_exits_2(tmp_path, capsys, monkeypatch):
