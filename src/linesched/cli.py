@@ -17,9 +17,9 @@ import sys
 
 from .grid import (ScheduleFormatError, load_schedule, packing_to_schedule,
                    save_schedule, validate_schedule)
-from .model import (InstanceFormatError, SolverInvariantError,
-                    gen_random_instance, instance_to_json, load_instance,
-                    save_instance)
+from .model import (Instance, InstanceFormatError, SolverInvariantError,
+                    check_generator_args, gen_random_instance,
+                    instance_to_json, load_instance, save_instance)
 from .pipeline import CATEGORY_CHOICES, report_to_json, solve_instance
 
 _CSV_COLUMNS = ["seed", "n", "B", "c", "M", "category",
@@ -131,8 +131,23 @@ def _load_bench_config(path) -> list[dict]:
         for key, (kind, name) in _RUN_TYPES.items():
             if not _is_type(merged[key], kind):
                 raise ConfigError(f"runs[{i}]: {key} must be {name}, got {merged[key]!r}")
+        try:
+            _check_run_values(merged)
+        except ValueError as e:
+            raise ConfigError(f"runs[{i}]: {e}") from e
         out.append(merged)
     return out
+
+
+def _check_run_values(run: dict) -> None:
+    """The value checks that generating and solving a run would make, made
+    before the first run starts, so that a bad run leaves no partial report."""
+    Instance(run["n"], run["B"], run["c"], ())
+    check_generator_args(run["n"], run["M"], run["arrival_rate"], run["distance"])
+    if run["category"] not in CATEGORY_CHOICES:
+        raise ValueError(f"unknown category {run['category']!r}")
+    if not 0 < run["eps_gk"] < 1:
+        raise ValueError(f"eps_gk must be in (0, 1), got {run['eps_gk']}")
 
 
 def _bench_row(run: dict, seed: int) -> dict[str, object]:

@@ -18,9 +18,11 @@ through that cell's store or forward edge, so one cell sends out at most
 
 The fractional solver pairs a primal packing loop with an LP-duality
 certificate.  The primal side routes flow greedily in round-robin turns,
-always along a cheapest path under exponential congestion prices and never
-beyond residual capacity, so the held flow is feasible at every moment and
-nothing is lost to rescaling.  The dual side uses the bound
+along the path its window DP picks under exponential congestion prices and
+never beyond residual capacity, so the held flow is feasible at every moment
+and nothing is lost to rescaling.  That path is not always a cheapest one:
+the DP misprices cells right of a saturated store (see ``_BLOCKED``).  The
+dual side uses the bound
 
     OPT <= D(l) / alpha(l),   D(l) = sum_e l(e) cap(e),
                               alpha(l) = min_i shortest_path_i(l)
@@ -33,14 +35,26 @@ optimality gap that is real whatever the loop dynamics did.
 
 Both sides spend their time in one cheapest-path DP over a request's
 window, a band of grid rows ``a..b-1`` and ``hop budget - distance + 1``
-columns (``_window_shortest``).  The packing loop runs one per turn, since
-every routed path reprices the grid.  A dual sweep, one per request, runs
-only when it could lower the bound (``_sweep_can_lower``).  Each request's
-all-forward path lies in its window, and its price, summed in the DP's own
-order, bounds the DP's best value from above in floats.  So when ``volume /
-min(straight + virt)`` is no lower than the bound in hand, neither is
-``volume / alpha``, and skipping the sweep leaves every bit of the bound as
-it was.  On long bands ``volume / alpha`` tends to be many times
+columns (``_window_shortest``).  The packing loop runs one per turn whose
+window still holds a path of open edges, since every routed path reprices
+the grid.  A routed path tends to push a full quantum and so saturate every
+edge on it, and then many turns find no such path.  ``_PackState`` keeps one
+Python ``int`` per grid row of open store edges and one of open forward
+edges, bit = column, and clears an edge's bit in the step that prices it
+``_BLOCKED``; ``_PackState.reachable`` fills the window's reachable cells
+row by row from these bitsets, a few big-integer operations per row against
+a numpy DP's row of cells.  Skipping a turn it finds unreachable is exact:
+every path through such a window prices at least one ``_BLOCKED`` edge, and
+the DP's rounding errors stay many orders of magnitude below
+``_BLOCKED_ABOVE``, so the DP would report ``best >= _BLOCKED_ABOVE`` and
+the loop would drop the request just the same.
+
+A dual sweep, one DP per request, runs only when it could lower the bound
+(``_sweep_can_lower``).  Each request's all-forward path lies in its window,
+and its price, summed in the DP's own order, bounds the DP's best value
+from above in floats.  So when ``volume / min(straight + virt)`` is no
+lower than the bound in hand, neither is ``volume / alpha``, and skipping
+the sweep leaves every bit of the bound as it was.  On long bands ``volume / alpha`` tends to be many times
 ``origin_cut``, so the sweep is almost always skipped there.
 """
 
@@ -184,12 +198,16 @@ _SATURATED = 1e-12     # residual below cap * this counts as full
 
 # blocked edges get a huge finite price instead of +inf: the window DP sums
 # prices along rows, and inf - inf would turn the prefix-minimum pass into
-# nan poison.  Real path prices stay far below the detection threshold.
+# nan poison.  Real path prices stay far below the detection threshold, so
+# whether a cell is reachable reads true.  Its price may not: right of a
+# blocked store, (enter - seg) + seg loses the entering price in _BLOCKED's
+# ulp (about 1.4e14), and the cell reads as about 0, so the packing loop can
+# route along a dearer path than the cheapest open one
 _BLOCKED = 1e30
 _BLOCKED_ABOVE = 1e28
 
-# the packing loop stops after this many cheapest-path computations
-_DP_PER_REQUEST, _DP_BASE = 12, 2000
+# the packing loop stops after this many turns
+_TURNS_PER_REQUEST, _TURNS_BASE = 12, 2000
 
 
 class _PackState:
@@ -233,6 +251,9 @@ class _PackState:
         # edge kind -> (loads, prices, capacity)
         self.kind = {"s": (self.store_load, self.store_cost, store_cap),
                      "f": (self.fwd_load, self.fwd_cost, fwd_cap)}
+        # edge kind -> residual bitsets, one Python int per grid row with
+        # bit = column, set while the edge is usable and not priced _BLOCKED
+        self.open = {"s": _row_bits(self.store_mask), "f": _row_bits(self.fwd_mask)}
 
     def route(self, row: int, col: int, moves: str,
               demand: float) -> tuple[float, list[tuple[str, int, int]]]:
@@ -248,22 +269,51 @@ class _PackState:
         fwd = np.frombuffer(moves.encode(), dtype=np.uint8) == ord("f")
         rows = np.cumsum(fwd) - fwd + row
         cols = np.arange(len(moves)) + (row + col) - rows
-        edges = [(self.kind[k], (rows[sel], cols[sel]))
-                 for k, sel in (("s", ~fwd), ("f", fwd))]
+        edges = [(k, (rows[sel], cols[sel])) for k, sel in (("s", ~fwd), ("f", fwd))]
         quantum = demand
-        for (load, _, cap), p in edges:
+        for k, p in edges:
             if p[0].size:
+                load, _, cap = self.kind[k]
                 quantum = min(quantum, (cap - load[p]).min())
         if quantum <= 0.0:
             return 0.0, []
-        for (load, cost, cap), p in edges:
+        for k, p in edges:
+            load, cost, cap = self.kind[k]
             x = load[p] + quantum
             load[p] = x
             arg = (self.eta * (x / cap - 1.0)).tolist()
             price = np.array(list(map(math.exp, arg))) / cap
-            price[cap - x <= cap * _SATURATED] = _BLOCKED
+            full = cap - x <= cap * _SATURATED
+            price[full] = _BLOCKED
             cost[p] = price
+            bits = self.open[k]
+            for r, c in zip(p[0][full].tolist(), p[1][full].tolist()):
+                bits[r] &= ~(1 << c)
         return quantum, list(zip(moves, rows.tolist(), (cols + self.off).tolist()))
+
+    def reachable(self, req: PacketRequest, g0: int, s: int) -> bool:
+        """Whether the request's window still holds a path of open edges.
+
+        A forward fill of the reachable window cells, row by row, with bit
+        ``j`` for window column ``j``.  Open stores carry a row's cells right
+        within runs: ``e`` marks the runs' cells entered from a reached cell,
+        and adding ``e`` to the run mask ``m`` clears each run from its first
+        entered cell up, so ``m & ~(m + e)`` holds those cells except any
+        second entered cell of a run, which ``e`` itself supplies.  Open
+        forward edges then carry the cells down a row, the last time into
+        the destination row.
+        """
+        full = (1 << (s + 1)) - 1
+        store, fwd = self.open["s"], self.open["f"]
+        x = 1
+        for row in range(req.a, req.b):
+            m = ((store[row] >> g0) << 1) & full
+            e = (x << 1) & m
+            x |= e | (m & ~(m + e))
+            x &= fwd[row] >> g0
+            if not x:
+                return False
+        return True
 
     def prices_at(self, eta: float) -> tuple[np.ndarray, np.ndarray, float]:
         """Unmasked exponential prices for the dual bound, plus their volume."""
@@ -274,6 +324,19 @@ class _PackState:
             volume += float(price[mask].sum()) * cap
             prices.append(price)
         return prices[0], prices[1], volume
+
+
+def _row_bits(mask: np.ndarray) -> list[int]:
+    """One Python int per row of a boolean grid, bit ``j`` for column ``j``.
+
+    Rows without a set bit, which no request's window reaches, cost nothing.
+    """
+    bits = [0] * len(mask)
+    packed = np.packbits(mask, axis=1, bitorder="little")
+    k, raw = packed.shape[1], packed.tobytes()
+    for row in np.flatnonzero(packed.any(axis=1)).tolist():
+        bits[row] = int.from_bytes(raw[row * k:row * k + k], "little")
+    return bits
 
 
 # windows of at most this many columns run their DP rows as Python floats:
@@ -419,8 +482,10 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
     ``dual_bound`` is always a true upper bound on the fractional optimum;
     ``cert_gap`` is the certified relative gap between the two, and
     ``certified`` says whether it came in under ``eps``.  Routing stops
-    after ``12 M + 2000`` cheapest-path computations (``budget_exhausted``).
-    ``dp_count`` counts cheapest-path DPs: one per packing turn, and ``M``
+    after ``12 M + 2000`` packing turns (``budget_exhausted``).
+    ``dp_count`` counts the cheapest-path DPs that ran: one per packing turn
+    whose window still held a path of open edges (a turn without one is
+    dropped on the bitset check alone, see the module docstring), and ``M``
     for each of the two dual sweeps that ran.
     """
     if store_cap <= 0 or fwd_cap <= 0:
@@ -437,7 +502,7 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
     for r, h in zip(reqs, hops):
         if h < r.distance:
             raise ValueError(f"request {r.id}: hop bound {h} below distance {r.distance}")
-    dp_budget = _DP_PER_REQUEST * M + _DP_BASE
+    turn_budget = _TURNS_PER_REQUEST * M + _TURNS_BASE
     state = _PackState(n, reqs, hops, store_cap, fwd_cap, eps)
     eta = state.eta
 
@@ -447,21 +512,24 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
     # trivial dual bounds: request count and the origin out-capacity cut
     dual_best = min(float(M), origin_cut(reqs, store_cap, fwd_cap))
 
-    dp_count = 0
+    turns = dp_count = 0
     budget_out = False
     active = deque(range(M))
     while active:
-        if dp_count >= dp_budget:
+        if turns >= turn_budget:
             budget_out = True
             break
+        turns += 1
         i = active.popleft()
         r = reqs[i]
         g0, s = state.gcol0[i], state.slack[i]
+        if not state.reachable(r, g0, s):
+            continue  # no residual path left; permanently blocked
         best, j, dist, store_w, fwd_w = _window_shortest(
             state.store_cost, state.fwd_cost, r, g0, s)
         dp_count += 1
         if best >= _BLOCKED_ABOVE:
-            continue  # no residual path left; permanently blocked
+            continue  # open, but capacities so small that prices hit the threshold
         # quantum: bounded by the residual along the path and the demand
         quantum, keys = state.route(r.a, g0, _backtrack(dist, store_w, fwd_w, j),
                                     1.0 - raw[i])

@@ -308,22 +308,36 @@ def request_rng(master_seed: int, request_id: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(request_id,)))
 
 
-def _draw_distances(rng: np.random.Generator, distance: str, n: int, M: int) -> np.ndarray:
+def _distance_law(distance: str, n: int) -> tuple[str, float]:
+    """Parse and check a distance law: ``("uniform", 0)``, ``("fixed", D)``
+    or ``("geometric", P)``."""
     if distance == "uniform":
-        return rng.integers(1, n, size=M)
+        return "uniform", 0
     kind, _, arg = distance.partition(":")
     if kind == "fixed" and arg:
         d = int(arg)
         if not (1 <= d <= n - 1):
             raise ValueError(f"fixed distance must be in [1, n-1], got {d}")
-        return np.full(M, d, dtype=np.int64)
+        return kind, d
     if kind == "geometric" and arg:
         p = float(arg)
         if not (0.0 < p <= 1.0):
             raise ValueError(f"geometric parameter must be in (0, 1], got {p}")
-        return np.minimum(rng.geometric(p, size=M), n - 1)
+        return kind, p
     raise ValueError(f"unknown distance form {distance!r}; "
                      "use 'uniform', 'fixed:D' or 'geometric:P'")
+
+
+def check_generator_args(n: int, M: int, arrival_rate: float,
+                         distance: str) -> tuple[str, float]:
+    """Raise ValueError for arguments ``gen_random_instance`` rejects before
+    it draws anything, and return the parsed distance law.  ``n``, ``B``
+    and ``c`` are checked by the ``Instance`` it returns."""
+    if M < 0:
+        raise ValueError("M must be nonnegative")
+    if not arrival_rate > 0.0:
+        raise ValueError("arrival_rate must be positive")
+    return _distance_law(distance, n)
 
 
 def gen_random_instance(n: int, B: int, c: int, M: int, *,
@@ -340,14 +354,16 @@ def gen_random_instance(n: int, B: int, c: int, M: int, *,
     ``deadline_slack`` is given every request gets the deadline
     ``t + distance + deadline_slack``.
     """
-    if M < 0:
-        raise ValueError("M must be nonnegative")
-    if arrival_rate <= 0.0:
-        raise ValueError("arrival_rate must be positive")
+    kind, arg = check_generator_args(n, M, arrival_rate, distance)
     rng = np.random.default_rng(seed)
     horizon = max(1, math.ceil(M / arrival_rate))
     ts = rng.integers(1, horizon + 1, size=M)
-    ds = _draw_distances(rng, distance, n, M)
+    if kind == "uniform":
+        ds = rng.integers(1, n, size=M)
+    elif kind == "fixed":
+        ds = np.full(M, arg, dtype=np.int64)
+    else:
+        ds = np.minimum(rng.geometric(arg, size=M), n - 1)
     reqs = []
     for i in range(M):
         d = int(ds[i])

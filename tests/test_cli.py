@@ -160,6 +160,25 @@ def test_bench_config_validation(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith(f"error: runs[0]: {key} must be")
         assert captured.err.count("\n") == 1
+    # values are checked for every run before the report is opened, so a bad
+    # later run leaves no partial file behind
+    for key, value, message in (
+            ("category", "foo", "unknown category 'foo'"),
+            ("eps_gk", 1.0, "eps_gk must be in (0, 1)"),
+            ("distance", "fixed:16", "fixed distance must be in [1, n-1]"),
+            ("distance", "zipf", "unknown distance form"),
+            ("n", 1, "need at least 2 nodes"),
+            ("B", 0, "capacities must be >= 1"),
+            ("c", 0, "capacities must be >= 1")):
+        bad = tmp_path / "bad_value.json"
+        bad.write_text(json.dumps({"runs": [{"n": 16, "M": 5},
+                                            {"n": 16, "M": 5, key: value}]}))
+        report = tmp_path / "report.csv"
+        assert main(["bench", str(bad), "--out", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: runs[1]: {message}")
+        assert not report.exists()
 
 
 def test_eps_is_checked_when_only_short_bands_run(tmp_path, capsys):

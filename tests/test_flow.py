@@ -1,9 +1,10 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linesched import flow
@@ -249,6 +250,77 @@ def test_dual_sweep_lowers_bound_below_origin_cut():
         assert max_throughput_mcf(*args).dual_bound == 1.0
 
 
+def solve_with_every_dp(*args) -> FractionalMCF:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow._PackState, "reachable", lambda *_: True)
+        return max_throughput_mcf(*args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweep_inputs())
+def test_skipping_unreachable_turns_never_changes_the_result(inputs):
+    reqs, n, store_cap, fwd_cap, hops = inputs
+    got = max_throughput_mcf(reqs, n, store_cap, fwd_cap, hops)
+    every = solve_with_every_dp(reqs, n, store_cap, fwd_cap, hops)
+    assert same_but_dp_count(got, every)
+    assert got.dp_count <= every.dp_count
+
+
+def solve_keeping_states(*args) -> tuple[FractionalMCF, list[flow._PackState]]:
+    states = []
+
+    class Kept(flow._PackState):
+        def __init__(self, *a):
+            super().__init__(*a)
+            states.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "_PackState", Kept)
+        return max_throughput_mcf(*args), states
+
+
+@settings(max_examples=100, deadline=None)
+@given(sweep_inputs())
+def test_open_bits_match_prices_after_a_solve(inputs):
+    _, (state,) = solve_keeping_states(*inputs)
+    for kind, mask in (("s", state.store_mask), ("f", state.fwd_mask)):
+        cost = state.kind[kind][1]
+        assert flow._row_bits(mask & (cost < flow._BLOCKED_ABOVE)) == state.open[kind]
+
+
+def test_precheck_on_hand_built_windows():
+    # one window of two rows and two columns: paths ff, sff and fsf
+    req = PacketRequest(0, 0, 2, 0)
+    state = flow._PackState(3, [req], [3], 1.0, 1.0, 0.05)
+    for row, col in ((1, 0), (0, 1)):
+        assert state.route(row, col, "f", 1.0)[0] == 1.0
+    # only fsf is left: a store detour around the saturated forward edge (1, 0)
+    assert state.reachable(req, 0, 1)
+    best, j, dist, store_w, fwd_w = flow._window_shortest(
+        state.store_cost, state.fwd_cost, req, 0, 1)
+    assert best < flow._BLOCKED_ABOVE
+    assert flow._backtrack(dist, store_w, fwd_w, j) == "fsf"
+    # with every forward edge out of row 1 saturated, nothing is left
+    state.route(1, 1, "f", 1.0)
+    assert not state.reachable(req, 0, 1)
+    assert flow._window_shortest(state.store_cost, state.fwd_cost,
+                                 req, 0, 1)[0] >= flow._BLOCKED_ABOVE
+
+
+def test_turn_without_residual_path_runs_no_dp():
+    # requests 0 and 1 saturate the forward edges out of row 1 in request
+    # 2's window, so its one turn finds no path and is skipped without a DP
+    reqs = [PacketRequest(0, 1, 2, 1), PacketRequest(1, 1, 2, 2), PacketRequest(2, 0, 2, 0)]
+    args = (reqs, 3, 1.0, 1.0, {0: 1, 1: 1, 2: 3})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "_sweep_can_lower", lambda *_: False)
+        got = max_throughput_mcf(*args)
+        every = solve_with_every_dp(*args)
+    assert [f.amount for f in got.flows] == [1.0, 1.0, 0.0]
+    assert (got.dp_count, every.dp_count) == (2, 3)
+    assert same_but_dp_count(got, every)
+
+
 # ---------------------------------------------------------------------------
 # Cheapest-path DPs: the two row paths.
 
@@ -300,6 +372,31 @@ def test_scalar_and_numpy_rows_agree(grid):
         got = flow._window_shortest(store, fwd, r, g0, s)
         assert (got[0].hex(), got[1]) == (best_n.hex(), j_n)
         assert isinstance(got[2], list) == (s + 1 <= flow._SCALAR_COLS)
+
+
+def twice_entered_store_run():
+    """A window whose one open path enters row 1 in columns 0 and 2, stores
+    on from both into one run of open stores, and leaves from column 3."""
+    store = np.ones((3, 4))
+    fwd = np.full((2, 5), flow._BLOCKED)
+    fwd[0, [0, 2]] = fwd[1, 3] = 1.0
+    return store, fwd, [PacketRequest(0, 0, 2, 0)], [0], [4]
+
+
+@settings(max_examples=300, deadline=None)
+@given(price_grids())
+@example(twice_entered_store_run())
+def test_reachable_iff_window_dp_finds_a_path(grid):
+    store, fwd, reqs, gcol0, slack = grid
+    bits = SimpleNamespace(open={"s": flow._row_bits(store < flow._BLOCKED_ABOVE),
+                                 "f": flow._row_bits(fwd < flow._BLOCKED_ABOVE)})
+    for r, g0, s in zip(reqs, gcol0, slack):
+        store_w = store[r.a:r.b, g0:g0 + s]
+        fwd_w = fwd[r.a:r.b, g0:g0 + s + 1]
+        reach = flow._PackState.reachable(bits, r, g0, s)
+        assert reach == (flow._rows_numpy(store_w, fwd_w)[0] < flow._BLOCKED_ABOVE)
+        assert reach == (flow._rows_scalar(store_w.tolist(), fwd_w.tolist())[0]
+                         < flow._BLOCKED_ABOVE)
 
 
 def test_row_paths_on_edge_windows():
