@@ -35,27 +35,54 @@ optimality gap that is real whatever the loop dynamics did.
 
 Both sides spend their time in one cheapest-path DP over a request's
 window, a band of grid rows ``a..b-1`` and ``hop budget - distance + 1``
-columns (``_window_shortest``).  The packing loop runs one per turn whose
-window still holds a path of open edges, since every routed path reprices
-the grid.  A routed path tends to push a full quantum and so saturate every
-edge on it, and then many turns find no such path.  ``_PackState`` keeps one
-Python ``int`` per grid row of open store edges and one of open forward
-edges, bit = column, and clears an edge's bit in the step that prices it
-``_BLOCKED``; ``_PackState.reachable`` fills the window's reachable cells
-row by row from these bitsets, a few big-integer operations per row against
-a numpy DP's row of cells.  Skipping a turn it finds unreachable is exact:
-every path through such a window prices at least one ``_BLOCKED`` edge, and
-the DP's rounding errors stay many orders of magnitude below
-``_BLOCKED_ABOVE``, so the DP would report ``best >= _BLOCKED_ABOVE`` and
-the loop would drop the request just the same.
+columns (``_window_shortest``).  Every routed path reprices the grid, so
+the packing loop needs a fresh answer per turn; it runs the DP when the
+window still holds a path of open edges and its straight path is not
+provably the cheapest (below).  A routed path tends to push a full quantum
+and so saturate every edge on it, and then many turns find no open path.
+``_PackState`` keeps one Python ``int`` per grid row of open store edges
+and one of open forward edges, bit = column, and clears an edge's bit in
+the step that prices it ``_BLOCKED``; ``_PackState.reachable`` fills the
+window's reachable cells row by row from these bitsets, a few big-integer
+operations per row against a numpy DP's row of cells.  Skipping a turn it
+finds unreachable is exact: every path through such a window prices at
+least one ``_BLOCKED`` edge, and the DP's rounding errors stay many orders
+of magnitude below ``_BLOCKED_ABOVE``, so the DP would report
+``best >= _BLOCKED_ABOVE`` and the loop would drop the request just the
+same.
+
+Many turns that do hold a path route the straight one, all forward edges
+from the window's column 0.  ``_PackState.straight_is_cheapest`` routes it
+without the DP when the DP provably picks it: every forward edge on it is
+unloaded, so priced ``p_f = exp(-eta)/fwd_cap``, and no store in the
+window's rows ``a+1..b-1`` is ``_BLOCKED``.  The DP's one bad rounding,
+``(enter - seg) + seg`` with a ``_BLOCKED`` term in ``seg``, then cannot
+occur; blocked stores in row ``a`` are harmless, since table row 0 is a
+plain accumulate with no subtraction.  Column 0 of the table is the exact
+sequential sum of ``d`` copies of ``p_f``, since ``seg[:, 0] = 0``.  Every
+other end column's path has ``d`` forward edges, none priced below ``p_f``,
+and at least one store, none priced below ``p_s = exp(-eta)/store_cap``.
+So by induction over the rows each other column stays above column 0 by
+``p_s`` less the rounding, which is about four roundings per row.  Each is
+off by at most ``u = 2**-53`` times a value below ``d p_f + (s+1)/store_cap``:
+the operands that can win a row's minimum are column 0's price plus the
+row's store prefix ``seg``, at most ``s`` open stores priced below
+``1/store_cap`` each.  Hence the margin ``p_s > 8 u d (d p_f +
+(s+1)/store_cap)`` for every request's ``d`` and slack ``s``, which
+``_PackState.__init__`` checks once (``straight_exact``).  It fails only
+for extreme inputs, a ``B/c`` near ``1e15/d**2`` (``1e9`` at ``d = 1000``)
+or a price sharpness ``exp(eta) = m/eps`` near ``1e15/(d s)``, and then
+every such turn runs its DP.  Where it holds, the first-minimum
+``argmin`` returns column 0 and ``_backtrack`` from there only goes up.
 
 A dual sweep, one DP per request, runs only when it could lower the bound
 (``_sweep_can_lower``).  Each request's all-forward path lies in its window,
 and its price, summed in the DP's own order, bounds the DP's best value
 from above in floats.  So when ``volume / min(straight + virt)`` is no
 lower than the bound in hand, neither is ``volume / alpha``, and skipping
-the sweep leaves every bit of the bound as it was.  On long bands ``volume / alpha`` tends to be many times
-``origin_cut``, so the sweep is almost always skipped there.
+the sweep leaves every bit of the bound as it was.  On long bands
+``volume / alpha`` tends to be many times ``origin_cut``, so the sweep is
+almost always skipped there.
 """
 
 from __future__ import annotations
@@ -254,6 +281,12 @@ class _PackState:
         # edge kind -> residual bitsets, one Python int per grid row with
         # bit = column, set while the edge is usable and not priced _BLOCKED
         self.open = {"s": _row_bits(self.store_mask), "f": _row_bits(self.fwd_mask)}
+        # whether the straight-path shortcut's rounding margin holds for
+        # every request (module docstring); an input property
+        p_f, p_s = math.exp(-self.eta) / fwd_cap, math.exp(-self.eta) / store_cap
+        need = max(r.distance * (r.distance * p_f + (s + 1) / store_cap)
+                   for r, s in zip(reqs, slacks))
+        self.straight_exact = p_s > 8 * 2.0 ** -53 * need
 
     def route(self, row: int, col: int, moves: str,
               demand: float) -> tuple[float, list[tuple[str, int, int]]]:
@@ -314,6 +347,14 @@ class _PackState:
             if not x:
                 return False
         return True
+
+    def straight_is_cheapest(self, req: PacketRequest, g0: int, s: int) -> bool:
+        """Whether the window DP would pick the straight path, all forward
+        edges from column ``g0``: it is unloaded and no store below the
+        window's first row is blocked (module docstring)."""
+        return (self.straight_exact
+                and not self.fwd_load[req.a:req.b, g0].any()
+                and not (self.store_cost[req.a + 1:req.b, g0:g0 + s] >= _BLOCKED_ABOVE).any())
 
     def prices_at(self, eta: float) -> tuple[np.ndarray, np.ndarray, float]:
         """Unmasked exponential prices for the dual bound, plus their volume."""
@@ -484,9 +525,11 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
     ``certified`` says whether it came in under ``eps``.  Routing stops
     after ``12 M + 2000`` packing turns (``budget_exhausted``).
     ``dp_count`` counts the cheapest-path DPs that ran: one per packing turn
-    whose window still held a path of open edges (a turn without one is
-    dropped on the bitset check alone, see the module docstring), and ``M``
-    for each of the two dual sweeps that ran.
+    whose window still held a path of open edges and whose straight path was
+    not provably the cheapest (a turn without an open path is dropped on the
+    bitset check alone, and a provably cheapest straight path is routed
+    without a DP, see the module docstring), and ``M`` for each of the two
+    dual sweeps that ran.
     """
     if store_cap <= 0 or fwd_cap <= 0:
         raise ValueError("capacities must be positive")
@@ -523,16 +566,19 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
         i = active.popleft()
         r = reqs[i]
         g0, s = state.gcol0[i], state.slack[i]
-        if not state.reachable(r, g0, s):
+        if state.straight_is_cheapest(r, g0, s):
+            moves = "f" * r.distance  # what the DP would pick
+        elif not state.reachable(r, g0, s):
             continue  # no residual path left; permanently blocked
-        best, j, dist, store_w, fwd_w = _window_shortest(
-            state.store_cost, state.fwd_cost, r, g0, s)
-        dp_count += 1
-        if best >= _BLOCKED_ABOVE:
-            continue  # open, but capacities so small that prices hit the threshold
+        else:
+            best, j, dist, store_w, fwd_w = _window_shortest(
+                state.store_cost, state.fwd_cost, r, g0, s)
+            dp_count += 1
+            if best >= _BLOCKED_ABOVE:
+                continue  # open, but capacities so small that prices hit the threshold
+            moves = _backtrack(dist, store_w, fwd_w, j)
         # quantum: bounded by the residual along the path and the demand
-        quantum, keys = state.route(r.a, g0, _backtrack(dist, store_w, fwd_w, j),
-                                    1.0 - raw[i])
+        quantum, keys = state.route(r.a, g0, moves, 1.0 - raw[i])
         if quantum <= 0.0:
             continue
         edges = per_edges[i]
