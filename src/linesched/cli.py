@@ -232,9 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("instance", help="instance file")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--eps-gk", type=float, default=0.05,
-                   help="fractional solver's eps: sets the price sharpness "
-                        "ln(m/eps) over its m usable edges, and the gap "
-                        "under which a solve counts as certified")
+                   help="fractional solver's eps: sets only the sharpness "
+                        "ln(m/eps) of its dual sweep's prices over its m "
+                        "usable edges, and the gap under which a solve "
+                        "counts as certified; the packing ignores it")
     s.add_argument("--category", default="auto",
                    choices=CATEGORY_CHOICES,
                    help="run one band, or every nonempty band and keep the best (auto)")

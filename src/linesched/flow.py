@@ -18,11 +18,30 @@ through that cell's store or forward edge, so one cell sends out at most
 
 The fractional solver pairs a primal packing loop with an LP-duality
 certificate.  The primal side routes flow greedily in round-robin turns,
-along the path its window DP picks under exponential congestion prices and
-never beyond residual capacity, so the held flow is feasible at every moment
-and nothing is lost to rescaling.  That path is not always a cheapest one:
-the DP misprices cells right of a saturated store (see ``_BLOCKED``).  The
-dual side uses the bound
+each along the fewest-store open path of the request's window, and never
+beyond residual capacity, so the held flow is feasible at every moment and
+nothing is lost to rescaling.  ``_PackState`` keeps one Python ``int`` per
+grid column of open store edges and one of open forward edges, bit = row,
+and clears an edge's bit when a route saturates it.  ``_PackState.open_path``
+fills the window's reachable cells column by column from these bitsets, a
+few big-integer operations per column in the bit-parallel style of Myers
+(JACM 1999), and stops at the first column that reaches the destination
+row: a path ending in window column ``j`` takes ``j`` stores.  It walks the
+path back from there.  Most paths take few stores, so a fill costs far
+fewer steps than the window has rows.  A turn whose window holds no open
+path drops its request for good, since edges only ever fill.
+
+Why fewest stores.  In the pipeline both capacities are ``C = lam min(B, c)
+<= 1/2``.  While every edge load is 0 or ``C``, a route pushes
+``min(demand, C)`` and saturates its whole path, whose first edge is one of
+the origin cell's two out-edges.  So a request routes at most twice, its
+demand before either route is 1 or ``1 - C >= C``, and every route pushes a
+full ``C``, which keeps every load at 0 or ``C``.  Congestion prices then
+price all open edges alike, and a cheapest open path is a fewest-store one.
+Calls with other capacities use the same rule; their flow stays feasible
+and the certificate below stays valid.
+
+The dual side uses the bound
 
     OPT <= D(l) / alpha(l),   D(l) = sum_e l(e) cap(e),
                               alpha(l) = min_i shortest_path_i(l)
@@ -31,51 +50,13 @@ which is valid for any positive prices l (every accepted unit travels a path
 of price >= alpha while the total price volume a feasible flow can pay is at
 most D).  Evaluating it on the exponential prices of the final loads, plus
 the trivial bounds (request count, ``origin_cut``), gives a certified
-optimality gap that is real whatever the loop dynamics did.
+optimality gap that is real whatever the loop dynamics did.  ``eps`` sets
+those prices' sharpness and the gap under which a solve counts as
+certified.
 
-Both sides spend their time in one cheapest-path DP over a request's
-window, a band of grid rows ``a..b-1`` and ``hop budget - distance + 1``
-columns (``_window_shortest``).  Every routed path reprices the grid, so
-the packing loop needs a fresh answer per turn; it runs the DP when the
-window still holds a path of open edges and its straight path is not
-provably the cheapest (below).  A routed path tends to push a full quantum
-and so saturate every edge on it, and then many turns find no open path.
-``_PackState`` keeps one Python ``int`` per grid row of open store edges
-and one of open forward edges, bit = column, and clears an edge's bit in
-the step that prices it ``_BLOCKED``; ``_PackState.reachable`` fills the
-window's reachable cells row by row from these bitsets, a few big-integer
-operations per row against a numpy DP's row of cells.  Skipping a turn it
-finds unreachable is exact: every path through such a window prices at
-least one ``_BLOCKED`` edge, and the DP's rounding errors stay many orders
-of magnitude below ``_BLOCKED_ABOVE``, so the DP would report
-``best >= _BLOCKED_ABOVE`` and the loop would drop the request just the
-same.
-
-Many turns that do hold a path route the straight one, all forward edges
-from the window's column 0.  ``_PackState.straight_is_cheapest`` routes it
-without the DP when the DP provably picks it: every forward edge on it is
-unloaded, so priced ``p_f = exp(-eta)/fwd_cap``, and no store in the
-window's rows ``a+1..b-1`` is ``_BLOCKED``.  The DP's one bad rounding,
-``(enter - seg) + seg`` with a ``_BLOCKED`` term in ``seg``, then cannot
-occur; blocked stores in row ``a`` are harmless, since table row 0 is a
-plain accumulate with no subtraction.  Column 0 of the table is the exact
-sequential sum of ``d`` copies of ``p_f``, since ``seg[:, 0] = 0``.  Every
-other end column's path has ``d`` forward edges, none priced below ``p_f``,
-and at least one store, none priced below ``p_s = exp(-eta)/store_cap``.
-So by induction over the rows each other column stays above column 0 by
-``p_s`` less the rounding, which is about four roundings per row.  Each is
-off by at most ``u = 2**-53`` times a value below ``d p_f + (s+1)/store_cap``:
-the operands that can win a row's minimum are column 0's price plus the
-row's store prefix ``seg``, at most ``s`` open stores priced below
-``1/store_cap`` each.  Hence the margin ``p_s > 8 u d (d p_f +
-(s+1)/store_cap)`` for every request's ``d`` and slack ``s``, which
-``_PackState.__init__`` checks once (``straight_exact``).  It fails only
-for extreme inputs, a ``B/c`` near ``1e15/d**2`` (``1e9`` at ``d = 1000``)
-or a price sharpness ``exp(eta) = m/eps`` near ``1e15/(d s)``, and then
-every such turn runs its DP.  Where it holds, the first-minimum
-``argmin`` returns column 0 and ``_backtrack`` from there only goes up.
-
-A dual sweep, one DP per request, runs only when it could lower the bound
+A dual sweep runs one cheapest-path DP per request over its window, a band
+of grid rows ``a..b-1`` and ``hop budget - distance + 1`` columns
+(``_window_shortest``), and runs only when it could lower the bound
 (``_sweep_can_lower``).  Each request's all-forward path lies in its window,
 and its price, summed in the DP's own order, bounds the DP's best value
 from above in floats.  So when ``volume / min(straight + virt)`` is no
@@ -208,6 +189,9 @@ class SingleFlow:
 
 @dataclass(frozen=True)
 class FractionalMCF:
+    """What ``max_throughput_mcf`` found; ``dp_count`` counts the window
+    DPs of the dual sweeps, since packing turns run none."""
+
     flows: tuple[SingleFlow, ...]
     dual_bound: float
     congestion: float
@@ -223,13 +207,14 @@ class FractionalMCF:
 
 _SATURATED = 1e-12     # residual below cap * this counts as full
 
-# blocked edges get a huge finite price instead of +inf: the window DP sums
-# prices along rows, and inf - inf would turn the prefix-minimum pass into
-# nan poison.  Real path prices stay far below the detection threshold, so
-# whether a cell is reachable reads true.  Its price may not: right of a
-# blocked store, (enter - seg) + seg loses the entering price in _BLOCKED's
-# ulp (about 1.4e14), and the cell reads as about 0, so the packing loop can
-# route along a dearer path than the cheapest open one
+# the window DP's price for an unusable edge, which prices_at gives every
+# edge outside the masks: a huge finite price instead of +inf, since the DP
+# sums prices along rows and inf - inf would turn the prefix-minimum pass
+# into nan poison.  A window with a path of other edges prices it below the
+# threshold, so whether a cell is reachable reads true.  Its price may not:
+# right of a blocked store, (enter - seg) + seg loses the entering price in
+# _BLOCKED's ulp (about 1.4e14).  No solve reads such a cell: a dual sweep's
+# windows lie inside the masks, and packing reads the open bitsets, not prices
 _BLOCKED = 1e30
 _BLOCKED_ABOVE = 1e28
 
@@ -238,10 +223,11 @@ _TURNS_PER_REQUEST, _TURNS_BASE = 12, 2000
 
 
 class _PackState:
-    """Loads, residual-aware prices and per-request windows on the grid.
+    """Loads, open-edge bitsets and per-request windows on the grid.
 
-    Prices are ``exp(eta (load/cap - 1))/cap`` with the sharpness ``eta``
-    set from ``eps`` and the number of usable edges.
+    ``eta``, the sharpness of the dual sweeps' prices
+    ``exp(eta (load/cap - 1))/cap``, is set from ``eps`` and the number of
+    usable edges.
     """
 
     def __init__(self, n: int, reqs: Sequence[PacketRequest], hops: list[int],
@@ -269,35 +255,20 @@ class _PackState:
         self.fwd_load = np.zeros_like(self.fwd_mask, dtype=float)
         m_edges = int(self.store_mask.sum() + self.fwd_mask.sum()) + len(reqs)
         self.eta = math.log(max(m_edges, 2) / min(eps, 0.5))
-        # unloaded prices on usable edges, _BLOCKED elsewhere and on
-        # saturated edges; the block doubles as the residual filter
-        self.store_cost = np.where(self.store_mask,
-                                   math.exp(-self.eta) / store_cap, _BLOCKED)
-        self.fwd_cost = np.where(self.fwd_mask,
-                                 math.exp(-self.eta) / fwd_cap, _BLOCKED)
-        # edge kind -> (loads, prices, capacity)
-        self.kind = {"s": (self.store_load, self.store_cost, store_cap),
-                     "f": (self.fwd_load, self.fwd_cost, fwd_cap)}
-        # edge kind -> residual bitsets, one Python int per grid row with
-        # bit = column, set while the edge is usable and not priced _BLOCKED
-        self.open = {"s": _row_bits(self.store_mask), "f": _row_bits(self.fwd_mask)}
-        # whether the straight-path shortcut's rounding margin holds for
-        # every request (module docstring); an input property
-        p_f, p_s = math.exp(-self.eta) / fwd_cap, math.exp(-self.eta) / store_cap
-        need = max(r.distance * (r.distance * p_f + (s + 1) / store_cap)
-                   for r, s in zip(reqs, slacks))
-        self.straight_exact = p_s > 8 * 2.0 ** -53 * need
+        # edge kind -> (loads, capacity)
+        self.kind = {"s": (self.store_load, store_cap), "f": (self.fwd_load, fwd_cap)}
+        # edge kind -> residual bitsets, one Python int per grid column with
+        # bit = row, set while the edge is usable and not saturated
+        self.open = {"s": _row_bits(self.store_mask.T), "f": _row_bits(self.fwd_mask.T)}
 
     def route(self, row: int, col: int, moves: str,
               demand: float) -> tuple[float, list[tuple[str, int, int]]]:
         """Push up to ``demand`` units along one window path, as far as its
-        residual allows, and reprice its edges.
+        residual allows, and clear the open bits of the edges it saturates.
 
         Returns the amount (0 if the path has no residual) and the path's
         edge keys ``(kind, row, column)`` in path order, with columns back
-        in grid coordinates.  The loads and price arguments are computed
-        in numpy, but each exponential is ``math.exp`` on a Python float,
-        so the prices equal the one-edge-at-a-time formula bit for bit.
+        in grid coordinates.
         """
         fwd = np.frombuffer(moves.encode(), dtype=np.uint8) == ord("f")
         rows = np.cumsum(fwd) - fwd + row
@@ -306,55 +277,67 @@ class _PackState:
         quantum = demand
         for k, p in edges:
             if p[0].size:
-                load, _, cap = self.kind[k]
+                load, cap = self.kind[k]
                 quantum = min(quantum, (cap - load[p]).min())
         if quantum <= 0.0:
             return 0.0, []
         for k, p in edges:
-            load, cost, cap = self.kind[k]
+            load, cap = self.kind[k]
             x = load[p] + quantum
             load[p] = x
-            arg = (self.eta * (x / cap - 1.0)).tolist()
-            price = np.array(list(map(math.exp, arg))) / cap
             full = cap - x <= cap * _SATURATED
-            price[full] = _BLOCKED
-            cost[p] = price
             bits = self.open[k]
             for r, c in zip(p[0][full].tolist(), p[1][full].tolist()):
-                bits[r] &= ~(1 << c)
+                bits[c] &= ~(1 << r)
         return quantum, list(zip(moves, rows.tolist(), (cols + self.off).tolist()))
 
-    def reachable(self, req: PacketRequest, g0: int, s: int) -> bool:
-        """Whether the request's window still holds a path of open edges.
+    def open_path(self, req: PacketRequest, g0: int, s: int) -> str | None:
+        """Moves of the request's fewest-store path of open edges, or None
+        when its window holds no such path.
 
-        A forward fill of the reachable window cells, row by row, with bit
-        ``j`` for window column ``j``.  Open stores carry a row's cells right
-        within runs: ``e`` marks the runs' cells entered from a reached cell,
-        and adding ``e`` to the run mask ``m`` clears each run from its first
-        entered cell up, so ``m & ~(m + e)`` holds those cells except any
-        second entered cell of a run, which ``e`` itself supplies.  Open
-        forward edges then carry the cells down a row, the last time into
-        the destination row.
+        A forward fill of the reachable window cells, column by column from
+        the origin's, with bit ``k`` for window row ``a + k``; ``x`` starts
+        each column as its cells entered from the left.  Open forward edges
+        carry a column's cells down within runs: ``e`` marks the runs'
+        cells entered from a reached cell, and adding ``e`` to the run mask
+        ``m`` clears each run from its first entered cell on, so
+        ``m & ~(m + e)`` holds those cells except any second entered cell
+        of a run, which ``e`` itself supplies.  Open stores then carry the
+        cells right a column.  A path ending in window column ``j`` takes
+        ``j`` stores, so the fill stops at the first column that reaches the
+        destination row, after as many columns as the path has stores plus
+        one.
+
+        The walk back from the destination cell goes up while its cell was
+        entered from above and left otherwise: it climbs each column to the
+        nearest cell up that was not entered from above, and takes the store
+        into that cell.  Ties among fewest-store paths thus go to the one
+        whose stores come earliest.
         """
-        full = (1 << (s + 1)) - 1
+        a, d = req.a, req.distance
+        full = (1 << d) - 1
         store, fwd = self.open["s"], self.open["f"]
+        last = g0 + s
+        above = []  # per column: its cells entered from above
         x = 1
-        for row in range(req.a, req.b):
-            m = ((store[row] >> g0) << 1) & full
+        for col in range(g0, last + 1):
+            m = ((fwd[col] >> a) & full) << 1
             e = (x << 1) & m
             x |= e | (m & ~(m + e))
-            x &= fwd[row] >> g0
+            above.append((x << 1) & m)
+            if x >> d:
+                break
+            x &= store[col] >> a if col < last else 0  # no stores leave the window
             if not x:
-                return False
-        return True
-
-    def straight_is_cheapest(self, req: PacketRequest, g0: int, s: int) -> bool:
-        """Whether the window DP would pick the straight path, all forward
-        edges from column ``g0``: it is unloaded and no store below the
-        window's first row is blocked (module docstring)."""
-        return (self.straight_exact
-                and not self.fwd_load[req.a:req.b, g0].any()
-                and not (self.store_cost[req.a + 1:req.b, g0:g0 + s] >= _BLOCKED_ABOVE).any())
+                return None
+        k = d
+        runs = []
+        for up in reversed(above):
+            top = (~up & ((2 << k) - 1)).bit_length() - 1
+            runs.append("f" * (k - top))
+            k = top
+        runs.reverse()
+        return "s".join(runs)
 
     def prices_at(self, eta: float) -> tuple[np.ndarray, np.ndarray, float]:
         """Unmasked exponential prices for the dual bound, plus their volume."""
@@ -368,7 +351,7 @@ class _PackState:
 
 
 def _row_bits(mask: np.ndarray) -> list[int]:
-    """One Python int per row of a boolean grid, bit ``j`` for column ``j``.
+    """One Python int per row of a boolean array, bit ``j`` for column ``j``.
 
     Rows without a set bit, which no request's window reaches, cost nothing.
     """
@@ -438,7 +421,7 @@ def _rows_scalar(store_w: list[list[float]],
     return best, last.index(best), dist
 
 
-def _window_shortest(store_cost: np.ndarray, fwd_cost: np.ndarray,
+def _window_shortest(store_p: np.ndarray, fwd_p: np.ndarray,
                      req: PacketRequest, g0: int, s: int):
     """Cheapest-path DP over one request's window under the given prices.
 
@@ -456,32 +439,13 @@ def _window_shortest(store_cost: np.ndarray, fwd_cost: np.ndarray,
     comparisons in the same order, left to right along each row, so the
     table, the best value and its first-minimum column agree bit for bit.
 
-    Returns the best end value, its column, the table, and the window's
-    store and forward prices, for ``_backtrack``.
+    Returns the best end value, its column and the table.
     """
-    store_w = store_cost[req.a:req.b, g0:g0 + s]
-    fwd_w = fwd_cost[req.a:req.b, g0:g0 + s + 1]
+    store_w = store_p[req.a:req.b, g0:g0 + s]
+    fwd_w = fwd_p[req.a:req.b, g0:g0 + s + 1]
     if s + 1 <= _SCALAR_COLS:
-        store_w, fwd_w = store_w.tolist(), fwd_w.tolist()
-        return (*_rows_scalar(store_w, fwd_w), store_w, fwd_w)
-    return (*_rows_numpy(store_w, fwd_w), store_w, fwd_w)
-
-
-def _backtrack(dist, store_w, fwd_w, j: int) -> str:
-    """Moves of the cheapest path ending in column ``j`` of a DP table."""
-    moves = ["f"]
-    k = len(dist) - 2
-    while k > 0 or j > 0:
-        up = dist[k - 1][j] + fwd_w[k - 1][j] if k > 0 else math.inf
-        left = dist[k][j - 1] + store_w[k][j - 1] if j > 0 else math.inf
-        if up <= left:
-            moves.append("f")
-            k -= 1
-        else:
-            moves.append("s")
-            j -= 1
-    moves.reverse()
-    return "".join(moves)
+        return _rows_scalar(store_w.tolist(), fwd_w.tolist())
+    return _rows_numpy(store_w, fwd_w)
 
 
 def _sweep_can_lower(fwd_p: np.ndarray, reqs: Sequence[PacketRequest],
@@ -523,13 +487,11 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
     ``dual_bound`` is always a true upper bound on the fractional optimum;
     ``cert_gap`` is the certified relative gap between the two, and
     ``certified`` says whether it came in under ``eps``.  Routing stops
-    after ``12 M + 2000`` packing turns (``budget_exhausted``).
-    ``dp_count`` counts the cheapest-path DPs that ran: one per packing turn
-    whose window still held a path of open edges and whose straight path was
-    not provably the cheapest (a turn without an open path is dropped on the
-    bitset check alone, and a provably cheapest straight path is routed
-    without a DP, see the module docstring), and ``M`` for each of the two
-    dual sweeps that ran.
+    after ``12 M + 2000`` packing turns (``budget_exhausted``).  Each turn
+    routes the fewest-store open path of its window (module docstring), so
+    ``eps`` sets only the dual sweeps' price sharpness and the ``certified``
+    threshold.  ``dp_count`` counts the dual sweeps' cheapest-path DPs, ``M``
+    for each of the two sweeps that ran; packing turns run no DP.
     """
     if store_cap <= 0 or fwd_cap <= 0:
         raise ValueError("capacities must be positive")
@@ -565,22 +527,12 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
         turns += 1
         i = active.popleft()
         r = reqs[i]
-        g0, s = state.gcol0[i], state.slack[i]
-        if state.straight_is_cheapest(r, g0, s):
-            moves = "f" * r.distance  # what the DP would pick
-        elif not state.reachable(r, g0, s):
-            continue  # no residual path left; permanently blocked
-        else:
-            best, j, dist, store_w, fwd_w = _window_shortest(
-                state.store_cost, state.fwd_cost, r, g0, s)
-            dp_count += 1
-            if best >= _BLOCKED_ABOVE:
-                continue  # open, but capacities so small that prices hit the threshold
-            moves = _backtrack(dist, store_w, fwd_w, j)
+        g0 = state.gcol0[i]
+        moves = state.open_path(r, g0, state.slack[i])
+        if moves is None:
+            continue  # no residual path left; edges only fill, so for good
         # quantum: bounded by the residual along the path and the demand
         quantum, keys = state.route(r.a, g0, moves, 1.0 - raw[i])
-        if quantum <= 0.0:
-            continue
         edges = per_edges[i]
         for key in keys:
             edges[key] = edges.get(key, 0.0) + quantum

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -250,20 +251,75 @@ def test_dual_sweep_lowers_bound_below_origin_cut():
         assert max_throughput_mcf(*args).dual_bound == 1.0
 
 
-def solve_with_every_dp(*args) -> FractionalMCF:
+def window_paths(d: int, s: int):
+    """Every move string of a window ``d`` rows deep and ``s + 1`` columns
+    wide: ``d`` forward moves, the last one last, and at most ``s`` stores."""
+    for j in range(s + 1):
+        for stores in itertools.combinations(range(d - 1 + j), j):
+            moves = ["f"] * (d - 1 + j)
+            for k in stores:
+                moves[k] = "s"
+            yield "".join(moves) + "f"
+
+
+def is_open(bits, req: PacketRequest, g0: int, moves: str) -> bool:
+    row, col = req.a, g0
+    for mv in moves:
+        if not bits[mv][col] >> row & 1:
+            return False
+        row, col = (row + 1, col) if mv == "f" else (row, col + 1)
+    return True
+
+
+def brute_force_path(state, req: PacketRequest, g0: int, s: int) -> str | None:
+    """The fewest-store open path by enumeration; among those, the walk
+    back goes forward before store, so the reversed moves are least."""
+    paths = [m for m in window_paths(req.distance, s) if is_open(state.open, req, g0, m)]
+    return min(paths, key=lambda m: (m.count("s"), m[::-1]), default=None)
+
+
+@st.composite
+def open_windows(draw):
+    """Random open bitsets, one int per column with bit = row, around one
+    window of at most 5 rows and 6 columns, with bits set outside it too."""
+    d, s = draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    a, g0 = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    col_bits = st.lists(st.integers(0, 2**(a + d + 2) - 1),
+                        min_size=g0 + s + 2, max_size=g0 + s + 2)
+    bits = {"s": draw(col_bits), "f": draw(col_bits)}
+    return SimpleNamespace(open=bits), PacketRequest(0, a, a + d, a + g0), g0, s
+
+
+@settings(max_examples=500, deadline=None)
+@given(open_windows())
+# every open path enters column 1 in row 0 or 2, forwards on through one run
+# of open forward edges, and leaves it by the store out of row 3
+@example((SimpleNamespace(open={"f": [0b111, 0b111, 0b1000], "s": [0b101, 0b1000, 0]}),
+          PacketRequest(0, 0, 4, 0), 0, 2))
+def test_open_path_is_the_brute_force_fewest_store_path(window):
+    state, req, g0, s = window
+    got = flow._PackState.open_path(state, req, g0, s)
+    want = brute_force_path(state, req, g0, s)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.count("f") == req.distance and got[-1] == "f"
+        assert got.count("s") <= s
+        assert is_open(state.open, req, g0, got)
+        assert got == want
+
+
+def solve_with_brute_force_paths(*args) -> FractionalMCF:
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flow._PackState, "reachable", lambda *_: True)
+        mp.setattr(flow._PackState, "open_path", brute_force_path)
         return max_throughput_mcf(*args)
 
 
-@settings(max_examples=200, deadline=None)
-@given(sweep_inputs())
+@settings(max_examples=100, deadline=None)
+@given(tiny_mcf_inputs())
 def test_skipping_unreachable_turns_never_changes_the_result(inputs):
-    reqs, n, store_cap, fwd_cap, hops = inputs
-    got = max_throughput_mcf(reqs, n, store_cap, fwd_cap, hops)
-    every = solve_with_every_dp(reqs, n, store_cap, fwd_cap, hops)
-    assert same_but_dp_count(got, every)
-    assert got.dp_count <= every.dp_count
+    # the brute force finds no open path exactly where the bitset fill does,
+    # and picks the same path elsewhere
+    assert repr(max_throughput_mcf(*inputs)) == repr(solve_with_brute_force_paths(*inputs))
 
 
 def solve_keeping_states(*args) -> tuple[FractionalMCF, list[flow._PackState]]:
@@ -279,103 +335,83 @@ def solve_keeping_states(*args) -> tuple[FractionalMCF, list[flow._PackState]]:
         return max_throughput_mcf(*args), states
 
 
+def open_bits_from_loads(state) -> dict[str, list[int]]:
+    return {k: flow._row_bits((mask & (cap - load > cap * flow._SATURATED)).T)
+            for k, mask, (load, cap) in (("s", state.store_mask, state.kind["s"]),
+                                         ("f", state.fwd_mask, state.kind["f"]))}
+
+
 @settings(max_examples=100, deadline=None)
 @given(sweep_inputs())
-def test_open_bits_match_prices_after_a_solve(inputs):
+def test_open_bits_match_loads_after_a_solve(inputs):
     _, (state,) = solve_keeping_states(*inputs)
-    for kind, mask in (("s", state.store_mask), ("f", state.fwd_mask)):
-        cost = state.kind[kind][1]
-        assert flow._row_bits(mask & (cost < flow._BLOCKED_ABOVE)) == state.open[kind]
+    assert open_bits_from_loads(state) == state.open
 
 
-def test_precheck_on_hand_built_windows():
-    # one window of two rows and two columns: paths ff, sff and fsf
-    req = PacketRequest(0, 0, 2, 0)
-    state = flow._PackState(3, [req], [3], 1.0, 1.0, 0.05)
-    for row, col in ((1, 0), (0, 1)):
-        assert state.route(row, col, "f", 1.0)[0] == 1.0
-    # only fsf is left: a store detour around the saturated forward edge (1, 0)
-    assert state.reachable(req, 0, 1)
-    best, j, dist, store_w, fwd_w = flow._window_shortest(
-        state.store_cost, state.fwd_cost, req, 0, 1)
-    assert best < flow._BLOCKED_ABOVE
-    assert flow._backtrack(dist, store_w, fwd_w, j) == "fsf"
-    # with every forward edge out of row 1 saturated, nothing is left
-    state.route(1, 1, "f", 1.0)
-    assert not state.reachable(req, 0, 1)
-    assert flow._window_shortest(state.store_cost, state.fwd_cost,
-                                 req, 0, 1)[0] >= flow._BLOCKED_ABOVE
+@settings(max_examples=200, deadline=None)
+@given(sweep_inputs(), st.integers(1, 7))
+def test_every_load_is_zero_or_one_quantum(inputs, k):
+    # the pipeline's capacities lam * min(B, c) stay at most 1/2 up to
+    # min(B, c) = 7: every route then pushes a full quantum C and saturates
+    # its path, which is why the fewest-store open path is a cheapest one
+    reqs, n, _, _, hops = inputs
+    cap = capacity_scale() * k
+    assert cap <= 0.5
+    mcf, (state,) = solve_keeping_states(reqs, n, cap, cap, hops)
+    for load in (state.store_load, state.fwd_load):
+        assert set(np.unique(load).tolist()) <= {0.0, cap}
+    assert mcf.congestion in (0.0, 1.0)
 
 
 def test_turn_without_residual_path_runs_no_dp():
-    # requests 0 and 1 route their unloaded straight paths without a DP and
-    # saturate the forward edges out of row 1 in request 2's window, so its
-    # one turn finds no path and is skipped without a DP too
+    # requests 0 and 1 saturate the forward edges out of row 1 in request
+    # 2's window, so its one turn finds no path; only dual sweeps count DPs
     reqs = [PacketRequest(0, 1, 2, 1), PacketRequest(1, 1, 2, 2), PacketRequest(2, 0, 2, 0)]
     args = (reqs, 3, 1.0, 1.0, {0: 1, 1: 1, 2: 3})
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flow, "_sweep_can_lower", lambda *_: False)
-        got = max_throughput_mcf(*args)
-        every = solve_with_every_dp(*args)
-    assert [f.amount for f in got.flows] == [1.0, 1.0, 0.0]
-    assert (got.dp_count, every.dp_count) == (0, 1)
-    assert same_but_dp_count(got, every)
+    for sweeps, dps in ((False, 0), (True, 2 * len(reqs))):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flow, "_sweep_can_lower", lambda *_: sweeps)
+            got = max_throughput_mcf(*args)
+        assert [f.amount for f in got.flows] == [1.0, 1.0, 0.0]
+        assert got.dp_count == dps
 
 
-def solve_without_shortcut(*args) -> FractionalMCF:
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flow._PackState, "straight_is_cheapest", lambda *_: False)
-        return max_throughput_mcf(*args)
+def test_open_path_on_hand_built_windows():
+    # one window of two rows and two columns: paths ff, sff and fsf
+    req = PacketRequest(0, 0, 2, 0)
+    state = flow._PackState(3, [req], [3], 1.0, 1.0, 0.05)
+    assert state.open_path(req, 0, 1) == "ff"
+    for row, col in ((1, 0), (0, 1)):
+        assert state.route(row, col, "f", 1.0)[0] == 1.0
+    # only fsf is left: a store detour around the saturated forward edge (1, 0)
+    assert state.open_path(req, 0, 1) == "fsf"
+    # with every forward edge out of row 1 saturated, nothing is left
+    state.route(1, 1, "f", 1.0)
+    assert state.open_path(req, 0, 1) is None
 
-
-@settings(max_examples=1000, deadline=None)
-@given(sweep_inputs())
-def test_straight_path_shortcut_never_changes_the_result(inputs):
-    reqs, n, store_cap, fwd_cap, hops = inputs
-    got = max_throughput_mcf(reqs, n, store_cap, fwd_cap, hops)
-    every = solve_without_shortcut(reqs, n, store_cap, fwd_cap, hops)
-    assert same_but_dp_count(got, every)
-    assert got.dp_count <= every.dp_count
-
-
-def test_straight_path_shortcut_on_hand_built_windows():
     # one window of three rows and two columns: paths fff, sfff, fsff, ffsf
     req = PacketRequest(0, 0, 3, 0)
 
-    def fresh(store_cap=1.0):
-        return flow._PackState(4, [req], [4], store_cap, 1.0, 0.05)
+    def fresh():
+        return flow._PackState(4, [req], [4], 1.0, 1.0, 0.05)
 
-    def dp_pick(state):
-        _, j, dist, store_w, fwd_w = flow._window_shortest(
-            state.store_cost, state.fwd_cost, req, 0, 1)
-        return j, flow._backtrack(dist, store_w, fwd_w, j)
-
-    # a clean window: the shortcut holds and the DP agrees
-    state = fresh()
-    assert state.straight_exact and state.straight_is_cheapest(req, 0, 1)
-    assert dp_pick(state) == (0, "fff")
-    # a blocked store in row a+1: the DP misprices the cell right of it
-    # and takes a dearer store path, so the shortcut must not fire
+    # a saturated store in row a+1 leaves the straight path open; the
+    # priced DP took the dearer sfff here (test_dp_prices_cells_right_of_a_blocked_store)
     state = fresh()
     assert state.route(1, 0, "s", 1.0)[0] == 1.0
-    assert not state.straight_is_cheapest(req, 0, 1)
-    assert dp_pick(state) == (1, "sfff")
-    # a blocked store in row a alone: table row 0 has no subtraction
-    state = fresh()
-    assert state.route(0, 0, "s", 1.0)[0] == 1.0
-    assert state.straight_is_cheapest(req, 0, 1)
-    assert dp_pick(state) == (0, "fff")
-    # a loaded but open forward edge on the straight path: a store path is
-    # cheaper, so open is not enough
+    assert state.open_path(req, 0, 1) == "fff"
+    # a loaded but open forward edge still counts as open
     state = fresh()
     assert state.route(1, 0, "f", 0.5)[0] == 0.5
-    assert state.fwd_cost[1, 0] < flow._BLOCKED_ABOVE
-    assert not state.straight_is_cheapest(req, 0, 1)
-    assert dp_pick(state)[0] == 1
-    # stores too cheap to stand out of the rounding of the straight sum
-    state = fresh(store_cap=1e16)
-    assert not state.straight_exact
-    assert not state.straight_is_cheapest(req, 0, 1)
+    assert state.open_path(req, 0, 1) == "fff"
+    # one store is needed, and sfff, fsff and ffsf all take one: walking
+    # back forward before store puts it first
+    state = fresh()
+    assert state.route(2, 0, "f", 1.0)[0] == 1.0
+    assert state.open_path(req, 0, 1) == "sfff"
+    # with store (0, 0) saturated too, the store moves down a row
+    assert state.route(0, 0, "s", 1.0)[0] == 1.0
+    assert state.open_path(req, 0, 1) == "fsff"
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +457,7 @@ def test_scalar_and_numpy_rows_agree(grid):
         best_s, j_s, dist_s = flow._rows_scalar(store_w.tolist(), fwd_w.tolist())
         assert (best_n.hex(), j_n) == (best_s.hex(), j_s)
         assert dist_n.tolist() == dist_s
-        moves = flow._backtrack(dist_n, store_w, fwd_w, j_n)
-        assert flow._backtrack(dist_s, store_w.tolist(), fwd_w.tolist(), j_s) == moves
-        assert moves.count("f") == r.distance and moves[-1] == "f"
-        assert moves.count("s") == j_n <= s
+        assert j_n <= s
         # the dispatcher picks the row path by window width alone
         got = flow._window_shortest(store, fwd, r, g0, s)
         assert (got[0].hex(), got[1]) == (best_n.hex(), j_n)
@@ -445,12 +478,12 @@ def twice_entered_store_run():
 @example(twice_entered_store_run())
 def test_reachable_iff_window_dp_finds_a_path(grid):
     store, fwd, reqs, gcol0, slack = grid
-    bits = SimpleNamespace(open={"s": flow._row_bits(store < flow._BLOCKED_ABOVE),
-                                 "f": flow._row_bits(fwd < flow._BLOCKED_ABOVE)})
+    bits = SimpleNamespace(open={"s": flow._row_bits((store < flow._BLOCKED_ABOVE).T),
+                                 "f": flow._row_bits((fwd < flow._BLOCKED_ABOVE).T)})
     for r, g0, s in zip(reqs, gcol0, slack):
         store_w = store[r.a:r.b, g0:g0 + s]
         fwd_w = fwd[r.a:r.b, g0:g0 + s + 1]
-        reach = flow._PackState.reachable(bits, r, g0, s)
+        reach = flow._PackState.open_path(bits, r, g0, s) is not None
         assert reach == (flow._rows_numpy(store_w, fwd_w)[0] < flow._BLOCKED_ABOVE)
         assert reach == (flow._rows_scalar(store_w.tolist(), fwd_w.tolist())[0]
                          < flow._BLOCKED_ABOVE)
@@ -479,15 +512,13 @@ def test_row_paths_on_edge_windows():
         got_s = flow._rows_scalar(store_w.tolist(), fwd_w.tolist())
         assert got_n[:2] == got_s[:2]
         assert got_n[2].tolist() == got_s[2]
-        assert (flow._backtrack(got_n[2], store_w, fwd_w, got_n[1])
-                == flow._backtrack(got_s[2], store_w.tolist(), fwd_w.tolist(), got_s[1]))
     req = PacketRequest(0, 0, 1, 0)
     fwd = np.array([[2.0, 0.5, 0.25]])
     store = np.array([[1.0, 1.0], [flow._BLOCKED, flow._BLOCKED]])
     assert flow._window_shortest(store, fwd, req, 0, 2)[:2] == (1.5, 1)
 
 
-def test_route_reprices_with_math_exp():
+def test_route_updates_loads_and_open_bits():
     reqs = [PacketRequest(0, 0, 4, 1), PacketRequest(1, 1, 5, 2)]
     state = flow._PackState(6, reqs, [9, 8], 0.7, 1.3, 0.05)
     rng = np.random.default_rng(3)
@@ -500,7 +531,7 @@ def test_route_reprices_with_math_exp():
         path = GridPath(r.a, g0, moves)
         before = {(k, row, col): float(state.kind[k][0][row, col])
                   for k, row, col in path.edges()}
-        residual = min(state.kind[k][2] - state.kind[k][0][row, col]
+        residual = min(state.kind[k][1] - state.kind[k][0][row, col]
                        for k, row, col in path.edges())
         demand = float(rng.uniform(0.05, 0.6))
         quantum, keys = state.route(r.a, g0, moves, demand)
@@ -510,13 +541,9 @@ def test_route_reprices_with_math_exp():
         assert quantum == min(demand, residual)
         assert keys == [(k, row, col + state.off) for k, row, col in path.edges()]
         for kind, row, col in path.edges():
-            load, cost, cap = state.kind[kind]
-            assert load[row, col] == before[kind, row, col] + quantum
-            if cap - load[row, col] <= cap * flow._SATURATED:
-                assert cost[row, col] == flow._BLOCKED
-            else:
-                want = math.exp(state.eta * (float(load[row, col]) / cap - 1.0)) / cap
-                assert float(cost[row, col]).hex() == want.hex()
+            assert state.kind[kind][0][row, col] == before[kind, row, col] + quantum
+        # exactly the saturated edges are closed, on the path and off it
+        assert state.open == open_bits_from_loads(state)
         routed.append(quantum)
     assert len(routed) > 5 and any(q < 0.05 for q in routed)  # some paths saturate
 

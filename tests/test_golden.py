@@ -73,7 +73,7 @@ GOLDEN_SOLVES = {
     "uniform_64_150": {
         "stdout": "throughput 5\nfractional_upper_bound 150.000000\n",
         "schedule": "5c69a186d85b846509002790bc44321e1abc74ad607ca04a8a9b9a5e0e1c3baf",
-        "trace": "335babb38acd034da1f6751d70c54852dedbe5fbab482e04e6b75e6614208607",
+        "trace": "713b4307efd54b2043271030cf8d8822d5f1967d6813ccaab8c9af297abbfbc3",
     },
     "uniform_64_150_medium": {
         "stdout": "throughput 1\nfractional_upper_bound 150.000000\n",
