@@ -376,8 +376,10 @@ def test_turn_without_residual_path_runs_no_dp():
         assert got.dp_count == dps
 
 
-def test_open_path_on_hand_built_windows():
-    # one window of two rows and two columns: paths ff, sff and fsf
+def test_precheck_on_hand_built_windows():
+    # the bitset fill that once only pre-checked a window for a residual
+    # path now returns the path. One window of two rows and two columns:
+    # paths ff, sff and fsf
     req = PacketRequest(0, 0, 2, 0)
     state = flow._PackState(3, [req], [3], 1.0, 1.0, 0.05)
     assert state.open_path(req, 0, 1) == "ff"
@@ -389,12 +391,17 @@ def test_open_path_on_hand_built_windows():
     state.route(1, 1, "f", 1.0)
     assert state.open_path(req, 0, 1) is None
 
-    # one window of three rows and two columns: paths fff, sfff, fsff, ffsf
+
+def test_straight_path_shortcut_on_hand_built_windows():
+    # the straight path is taken whenever all its forward edges are open,
+    # not only when they are unloaded. One window of three rows and two
+    # columns: paths fff, sfff, fsff, ffsf
     req = PacketRequest(0, 0, 3, 0)
 
     def fresh():
         return flow._PackState(4, [req], [4], 1.0, 1.0, 0.05)
 
+    assert fresh().open_path(req, 0, 1) == "fff"
     # a saturated store in row a+1 leaves the straight path open; the
     # priced DP took the dearer sfff here (test_dp_prices_cells_right_of_a_blocked_store)
     state = fresh()
