@@ -30,6 +30,11 @@ row: a path ending in window column ``j`` takes ``j`` stores.  It walks the
 path back from there.  Most paths take few stores, so a fill costs far
 fewer steps than the window has rows.  A turn whose window holds no open
 path drops its request for good, since edges only ever fill.
+``_PackState.route`` then pushes the turn's flow a column run at a time:
+such a path is one forward run per window column joined by single stores,
+so its loads are one column slice per run and one scalar per store.  It
+adds the quantum into them in place, the same float additions a per-edge
+scatter makes, and clears a run whose edges all fill with one bit mask.
 
 Why fewest stores.  In the pipeline both capacities are ``C = lam min(B, c)
 <= 1/2``.  While every edge load is 0 or ``C``, a route pushes
@@ -71,6 +76,7 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -255,8 +261,6 @@ class _PackState:
         self.fwd_load = np.zeros_like(self.fwd_mask, dtype=float)
         m_edges = int(self.store_mask.sum() + self.fwd_mask.sum()) + len(reqs)
         self.eta = math.log(max(m_edges, 2) / min(eps, 0.5))
-        # edge kind -> (loads, capacity)
-        self.kind = {"s": (self.store_load, store_cap), "f": (self.fwd_load, fwd_cap)}
         # edge kind -> residual bitsets, one Python int per grid column with
         # bit = row, set while the edge is usable and not saturated
         self.open = {"s": _row_bits(self.store_mask.T), "f": _row_bits(self.fwd_mask.T)}
@@ -269,27 +273,55 @@ class _PackState:
         Returns the amount (0 if the path has no residual) and the path's
         edge keys ``(kind, row, column)`` in path order, with columns back
         in grid coordinates.
+
+        The path is walked a column run at a time: ``moves.split("s")`` gives
+        one forward run per column, and a store leaves the last row of every
+        run but the final one.  A run's loads are one column slice, read and
+        updated in place, and a store's is one scalar.  Since ``cap - load``
+        only falls as ``load`` grows, also in floats, ``cap - slice.max()``
+        is the run's smallest residual and ``cap - slice.min()`` its largest,
+        so the quantum and the saturation test need no per-edge arrays, and
+        adding the quantum into each slice does the same float additions as
+        a per-edge scatter.  A run whose every edge saturates clears its open
+        bits with one mask; only a partly saturated run, which needs loads
+        other than 0 or one quantum (caps above 1/2), clears them bit by bit.
         """
-        fwd = np.frombuffer(moves.encode(), dtype=np.uint8) == ord("f")
-        rows = np.cumsum(fwd) - fwd + row
-        cols = np.arange(len(moves)) + (row + col) - rows
-        edges = [(k, (rows[sel], cols[sel])) for k, sel in (("s", ~fwd), ("f", fwd))]
+        fwd_load, store_load = self.fwd_load, self.store_load
+        fcap, scap = self.fwd_cap, self.store_cap
+        runs = []  # per column: the forward run's first and end row
+        r0 = row
+        for c, run in enumerate(moves.split("s"), col):
+            runs.append((r0, r0 + len(run), c))
+            r0 += len(run)
         quantum = demand
-        for k, p in edges:
-            if p[0].size:
-                load, cap = self.kind[k]
-                quantum = min(quantum, (cap - load[p]).min())
+        for r0, r1, c in runs:
+            if r1 > r0:
+                quantum = min(quantum, fcap - fwd_load[r0:r1, c].max())
+        for _, r1, c in runs[:-1]:
+            quantum = min(quantum, scap - store_load[r1, c])
         if quantum <= 0.0:
             return 0.0, []
-        for k, p in edges:
-            load, cap = self.kind[k]
-            x = load[p] + quantum
-            load[p] = x
-            full = cap - x <= cap * _SATURATED
-            bits = self.open[k]
-            for r, c in zip(p[0][full].tolist(), p[1][full].tolist()):
-                bits[c] &= ~(1 << r)
-        return quantum, list(zip(moves, rows.tolist(), (cols + self.off).tolist()))
+        f_full, s_full = fcap * _SATURATED, scap * _SATURATED
+        f_bits, s_bits = self.open["f"], self.open["s"]
+        keys: list[tuple[str, int, int]] = []
+        last = len(runs) - 1
+        for k, (r0, r1, c) in enumerate(runs):
+            if r1 > r0:
+                span = fwd_load[r0:r1, c]
+                span += quantum
+                if fcap - span.min() <= f_full:
+                    f_bits[c] &= ~(((1 << (r1 - r0)) - 1) << r0)
+                elif fcap - span.max() <= f_full:
+                    for r in np.flatnonzero(fcap - span <= f_full).tolist():
+                        f_bits[c] &= ~(1 << (r0 + r))
+                keys.extend(zip(repeat("f"), range(r0, r1), repeat(c + self.off)))
+            if k < last:
+                x = store_load[r1, c] + quantum
+                store_load[r1, c] = x
+                if scap - x <= s_full:
+                    s_bits[c] &= ~(1 << r1)
+                keys.append(("s", r1, c + self.off))
+        return quantum, keys
 
     def open_path(self, req: PacketRequest, g0: int, s: int) -> str | None:
         """Moves of the request's fewest-store path of open edges, or None
@@ -534,8 +566,13 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
         # quantum: bounded by the residual along the path and the demand
         quantum, keys = state.route(r.a, g0, moves, 1.0 - raw[i])
         edges = per_edges[i]
-        for key in keys:
-            edges[key] = edges.get(key, 0.0) + quantum
+        # a route whose edges are all new to the request, as every first
+        # route is, books them at once: 0.0 + quantum == quantum
+        if not edges or edges.keys().isdisjoint(keys):
+            edges.update(dict.fromkeys(keys, quantum))
+        else:
+            for key in keys:
+                edges[key] = edges.get(key, 0.0) + quantum
         raw[i] += quantum
         if raw[i] < 1.0 - 1e-12:
             active.append(i)

@@ -63,14 +63,25 @@ def quadrant_route(origins: Mapping[int, tuple[int, int]],
     cell_handle = {cell: net.add_edge(source, node(*cell), len(ids))
                    for cell, ids in by_cell.items()}
 
+    # only cells up and right of some origin can carry flow: cell (i, j)
+    # is reachable when j >= first[i], the leftmost origin column in rows
+    # <= i (half when there is none).  Edges out of the other cells would
+    # never carry flow, and their reverse entries keep capacity 0, so
+    # leaving them out changes neither Dinic's search order nor the flow.
+    first = [half] * half
+    for (i, j) in by_cell:
+        first[i] = min(first[i], j)
+    for i in range(1, half):
+        first[i] = min(first[i], first[i - 1])
+
     up_handle = {(i, j): net.add_edge(node(i, j), node(i + 1, j), 1)
-                 for i in range(half - 1) for j in range(half)}
+                 for i in range(half - 1) for j in range(first[i], half)}
     right_handle = {(i, j): net.add_edge(node(i, j), node(i, j + 1), 1)
-                    for i in range(half) for j in range(half - 1)}
+                    for i in range(half) for j in range(first[i], half - 1)}
     top_handle = {j: net.add_edge(node(half - 1, j), sink, 1)
-                  for j in range(half)}
+                  for j in range(first[half - 1], half)}
     right_slot_handle = {i: net.add_edge(node(i, half - 1), sink, 1)
-                         for i in range(half)}
+                         for i in range(half) if first[i] < half}
 
     net.max_flow(source, sink)
 
@@ -83,10 +94,10 @@ def quadrant_route(origins: Mapping[int, tuple[int, int]],
         i, j = cell
         moves: list[str] = []
         while True:
-            if i == half - 1 and residual.get(top_handle[j], 0) > 0:
+            if i == half - 1 and residual.get(top_handle.get(j), 0) > 0:
                 residual[top_handle[j]] -= 1
                 return "".join(moves), "top"
-            if j == half - 1 and residual.get(right_slot_handle[i], 0) > 0:
+            if j == half - 1 and residual.get(right_slot_handle.get(i), 0) > 0:
                 residual[right_slot_handle[i]] -= 1
                 return "".join(moves), "right"
             if residual.get(up_handle.get((i, j)), 0) > 0:

@@ -337,8 +337,9 @@ def solve_keeping_states(*args) -> tuple[FractionalMCF, list[flow._PackState]]:
 
 def open_bits_from_loads(state) -> dict[str, list[int]]:
     return {k: flow._row_bits((mask & (cap - load > cap * flow._SATURATED)).T)
-            for k, mask, (load, cap) in (("s", state.store_mask, state.kind["s"]),
-                                         ("f", state.fwd_mask, state.kind["f"]))}
+            for k, mask, load, cap in (
+                ("s", state.store_mask, state.store_load, state.store_cap),
+                ("f", state.fwd_mask, state.fwd_load, state.fwd_cap))}
 
 
 @settings(max_examples=100, deadline=None)
@@ -525,8 +526,49 @@ def test_row_paths_on_edge_windows():
     assert flow._window_shortest(store, fwd, req, 0, 2)[:2] == (1.5, 1)
 
 
+def load_of(state, kind: str, row: int, col: int) -> float:
+    return float((state.store_load if kind == "s" else state.fwd_load)[row, col])
+
+
+def route_and_check(state, row: int, g0: int, moves: str, demand: float) -> float:
+    """``state.route`` against its per-edge meaning: the quantum, the keys,
+    every load on the path, and the open bits on and off it."""
+    path = GridPath(row, g0, moves)
+    before = {e: load_of(state, *e) for e in path.edges()}
+    residual = min((state.store_cap if k == "s" else state.fwd_cap) - load
+                   for (k, _, _), load in before.items())
+    quantum, keys = state.route(row, g0, moves, demand)
+    if residual <= 0.0:
+        assert (quantum, keys) == (0.0, [])
+        return 0.0
+    assert quantum == min(demand, residual)
+    assert keys == [(k, r, c + state.off) for k, r, c in path.edges()]
+    for e, load in before.items():
+        assert load_of(state, *e) == load + quantum
+    # exactly the saturated edges are closed, on the path and off it
+    assert state.open == open_bits_from_loads(state)
+    return quantum
+
+
 def test_route_updates_loads_and_open_bits():
     reqs = [PacketRequest(0, 0, 4, 1), PacketRequest(1, 1, 5, 2)]
+    state = flow._PackState(6, reqs, [9, 8], 0.7, 1.3, 0.05)
+    assert state.gcol0 == [0, 0]
+    # a path that starts with a store and has two stores in a row, so one
+    # column's forward run is empty; nothing fills up
+    assert route_and_check(state, 0, 0, "ssffsff", 0.3) == 0.3
+    # the second path's first run fills rows 1-3 of column 0 but not row 4:
+    # a partly saturated run, whose bits are cleared one by one
+    assert route_and_check(state, 0, 0, "ffff", 0.6) == 0.6
+    assert route_and_check(state, 1, 0, "ffff", 0.9) == pytest.approx(0.7)
+    assert [state.open["f"][0] >> r & 1 for r in range(5)] == [1, 0, 0, 0, 1]
+    # with the caps swapped, both runs of sffsff fill up and each is
+    # cleared by one mask, while its stores stay open
+    state = flow._PackState(6, reqs, [9, 8], 1.3, 0.7, 0.05)
+    assert route_and_check(state, 0, 0, "sffsff", 1.0) == 0.7
+    assert [state.open["f"][1] >> 0 & 3, state.open["f"][2] >> 2 & 3] == [0, 0]
+    assert [state.open["s"][0] & 1, state.open["s"][1] >> 2 & 1] == [1, 1]
+
     state = flow._PackState(6, reqs, [9, 8], 0.7, 1.3, 0.05)
     rng = np.random.default_rng(3)
     routed = []
@@ -535,24 +577,43 @@ def test_route_updates_loads_and_open_bits():
         r, g0, s = reqs[i], state.gcol0[i], state.slack[i]
         stores = int(rng.integers(0, s + 1))
         moves = "".join(rng.permutation(["f"] * (r.distance - 1) + ["s"] * stores)) + "f"
-        path = GridPath(r.a, g0, moves)
-        before = {(k, row, col): float(state.kind[k][0][row, col])
-                  for k, row, col in path.edges()}
-        residual = min(state.kind[k][1] - state.kind[k][0][row, col]
-                       for k, row, col in path.edges())
-        demand = float(rng.uniform(0.05, 0.6))
-        quantum, keys = state.route(r.a, g0, moves, demand)
-        if residual <= 0.0:
-            assert (quantum, keys) == (0.0, [])
-            continue
-        assert quantum == min(demand, residual)
-        assert keys == [(k, row, col + state.off) for k, row, col in path.edges()]
-        for kind, row, col in path.edges():
-            assert state.kind[kind][0][row, col] == before[kind, row, col] + quantum
-        # exactly the saturated edges are closed, on the path and off it
-        assert state.open == open_bits_from_loads(state)
-        routed.append(quantum)
+        quantum = route_and_check(state, r.a, g0, moves, float(rng.uniform(0.05, 0.6)))
+        if quantum > 0.0:
+            routed.append(quantum)
     assert len(routed) > 5 and any(q < 0.05 for q in routed)  # some paths saturate
+
+
+def test_later_routes_add_to_a_requests_edges():
+    # request 1's second route ssf goes back through the store its first
+    # route sf took, which request 0's route f left it as the only way out
+    calls = []
+
+    class Recording(flow._PackState):
+        def open_path(self, req, g0, s):
+            self.req_id = req.id
+            return super().open_path(req, g0, s)
+
+        def route(self, *args):
+            quantum, keys = super().route(*args)
+            calls.append((self.req_id, quantum, keys))
+            return quantum, keys
+
+    reqs = [PacketRequest(0, 0, 1, 2), PacketRequest(1, 0, 1, 2)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "_PackState", Recording)
+        mcf = max_throughput_mcf(reqs, 2, 1.5, 0.75, {0: 1, 1: 3})
+    assert [(i, k) for i, _, k in calls] == [
+        (0, [("f", 0, 2)]),
+        (1, [("s", 0, 2), ("f", 0, 3)]),
+        (1, [("s", 0, 2), ("s", 0, 3), ("f", 0, 4)])]
+    for f in mcf.flows:
+        summed: dict[tuple[str, int, int], float] = {}
+        for i, quantum, keys in calls:
+            if i == f.request.id:
+                for key in keys:
+                    summed[key] = summed.get(key, 0.0) + quantum
+        assert list(f.edges.items()) == list(summed.items())
+    assert mcf.flows[1].edges[("s", 0, 2)] == 1.0
 
 
 # ---------------------------------------------------------------------------
