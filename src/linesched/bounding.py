@@ -79,44 +79,15 @@ def truncate_path(path: GridPath, d: int) -> tuple[GridPath, tuple[int, int] | N
     return GridPath(path.row, path.col, prefix + "f" * rest), (row, col)
 
 
-def _rewrite_flow_edges(flow: SingleFlow, d: int) -> dict[tuple[str, int, int], float]:
-    """Edge map of the flow with everything past the first boundary replaced.
-
-    Works directly on edge weights, no path decomposition, so the result is
-    exact: edges whose tail time precedes the boundary are kept verbatim,
-    and for each boundary vertex the amount leaving it continues as one
-    straight forward run to the destination row.  Stores on the destination
-    row (packets are delivered on first touch, so those carry nothing) are
-    dropped.
-    """
-    req = flow.request
-    boundary = first_boundary_after(req.t, d)
-    out: dict[tuple[str, int, int], float] = defaultdict(float)
-    leaving: dict[int, float] = defaultdict(float)
-    for (kind, row, col), w in flow.edges.items():
-        if kind == "s" and row == req.b:
-            continue
-        t = row + col
-        if t < boundary:
-            out[(kind, row, col)] += w
-        elif t == boundary:
-            leaving[row] += w
-    for row, w in leaving.items():
-        col = boundary - row
-        for r in range(row, req.b):
-            out[("f", r, col)] += w
-    return dict(out)
-
-
 def truncate_fractional(mcf: FractionalMCF, d: int, *,
                         store_cap: float, fwd_cap: float) -> FractionalMCF:
     """Bound every flow path by 2d and rescale back into the capacities.
 
-    Per request, the flow past its first slab boundary is replaced by
-    straight forward runs from the boundary vertices it was crossing, which
-    keeps the total amount exactly and leaves the support with diameter at
-    most 2d.  Stores still fit (the prefix alone used them); forward edges
-    now carry at most store_cap + 2*fwd_cap, so scaling everything by
+    Per request, every path of the flow is cut at its first slab boundary
+    and forwards straight on from there (``truncate_path``), which keeps the
+    total amount exactly and leaves the support with diameter at most 2d.
+    Stores still fit (the prefix alone used them); forward edges now carry
+    at most store_cap + 2*fwd_cap, so scaling every path's weight by
     rho = fwd_cap / (store_cap + 2*fwd_cap) restores per-edge feasibility.
 
     The certificate fields of the result (dual_bound, cert_gap, ...) are
@@ -137,11 +108,11 @@ def truncate_fractional(mcf: FractionalMCF, d: int, *,
     flows = []
     loads: dict[tuple[str, int, int], float] = defaultdict(float)
     for f in mcf.flows:
-        edges = _rewrite_flow_edges(f, d)
-        scaled = {e: w * rho for e, w in edges.items()}
-        for e, w in scaled.items():
+        flow = SingleFlow(f.request, f.amount * rho,
+                          tuple((w * rho, truncate_path(p, d)[0]) for w, p in f.paths))
+        for e, w in flow.edges.items():
             loads[e] += w
-        flows.append(SingleFlow(f.request, f.amount * rho, scaled))
+        flows.append(flow)
 
     congestion = 0.0
     for (kind, _, _), w in loads.items():

@@ -35,6 +35,10 @@ such a path is one forward run per window column joined by single stores,
 so its loads are one column slice per run and one scalar per store.  It
 adds the quantum into them in place, the same float additions a per-edge
 scatter makes, and clears a run whose edges all fill with one bit mask.
+The solver keeps each route as one ``(quantum, GridPath)`` pair; a flow's
+per-edge map (``SingleFlow.edges``) is summed from its paths only when
+something reads it, which in the pipeline is rounding's walk of the few
+coin-accepted flows.
 
 Why fewest stores.  In the pipeline both capacities are ``C = lam min(B, c)
 <= 1/2``.  While every edge load is 0 or ``C``, a route pushes
@@ -68,7 +72,9 @@ from above in floats.  So when ``volume / min(straight + virt)`` is no
 lower than the bound in hand, neither is ``volume / alpha``, and skipping
 the sweep leaves every bit of the bound as it was.  On long bands
 ``volume / alpha`` tends to be many times ``origin_cut``, so the sweep is
-almost always skipped there.
+almost always skipped there.  The prices are taken over the masked edges
+only, and the store price grid, which only the sweep reads, is built only
+for a sweep that runs.
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import repeat
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -182,15 +188,26 @@ class MaxFlow:
 
 @dataclass(frozen=True)
 class SingleFlow:
-    """Scaled flow of one request: total amount and per-edge values.
+    """Scaled flow of one request: total amount and weighted paths.
 
-    Edge keys are ``(kind, row, col)`` with kind ``"s"`` or ``"f"`` and the
-    tail cell in untilted coordinates.
+    ``paths`` holds ``(quantum, GridPath)`` pairs in route order.  ``edges``
+    maps each edge key ``(kind, row, col)``, kind ``"s"`` or ``"f"`` and the
+    tail cell in untilted coordinates, to the summed quanta of the paths
+    through it.  It is built on first read and kept: the quanta are added
+    path by path in route order, each path's edges in path order.
     """
 
     request: PacketRequest
     amount: float
-    edges: dict[tuple[str, int, int], float]
+    paths: tuple[tuple[float, GridPath], ...]
+
+    @cached_property
+    def edges(self) -> dict[tuple[str, int, int], float]:
+        out: dict[tuple[str, int, int], float] = {}
+        for quantum, path in self.paths:
+            for key in path.edges():
+                out[key] = out.get(key, 0.0) + quantum
+        return out
 
 
 @dataclass(frozen=True)
@@ -213,7 +230,7 @@ class FractionalMCF:
 
 _SATURATED = 1e-12     # residual below cap * this counts as full
 
-# the window DP's price for an unusable edge, which prices_at gives every
+# the window DP's price for an unusable edge, which _price_grid gives every
 # edge outside the masks: a huge finite price instead of +inf, since the DP
 # sums prices along rows and inf - inf would turn the prefix-minimum pass
 # into nan poison.  A window with a path of other edges prices it below the
@@ -265,14 +282,11 @@ class _PackState:
         # bit = row, set while the edge is usable and not saturated
         self.open = {"s": _row_bits(self.store_mask.T), "f": _row_bits(self.fwd_mask.T)}
 
-    def route(self, row: int, col: int, moves: str,
-              demand: float) -> tuple[float, list[tuple[str, int, int]]]:
+    def route(self, row: int, col: int, moves: str, demand: float) -> float:
         """Push up to ``demand`` units along one window path, as far as its
         residual allows, and clear the open bits of the edges it saturates.
 
-        Returns the amount (0 if the path has no residual) and the path's
-        edge keys ``(kind, row, column)`` in path order, with columns back
-        in grid coordinates.
+        Returns the amount, 0 if the path has no residual.
 
         The path is walked a column run at a time: ``moves.split("s")`` gives
         one forward run per column, and a store leaves the last row of every
@@ -300,12 +314,10 @@ class _PackState:
         for _, r1, c in runs[:-1]:
             quantum = min(quantum, scap - store_load[r1, c])
         if quantum <= 0.0:
-            return 0.0, []
+            return 0.0
         f_full, s_full = fcap * _SATURATED, scap * _SATURATED
         f_bits, s_bits = self.open["f"], self.open["s"]
-        keys: list[tuple[str, int, int]] = []
-        last = len(runs) - 1
-        for k, (r0, r1, c) in enumerate(runs):
+        for r0, r1, c in runs:
             if r1 > r0:
                 span = fwd_load[r0:r1, c]
                 span += quantum
@@ -314,14 +326,12 @@ class _PackState:
                 elif fcap - span.max() <= f_full:
                     for r in np.flatnonzero(fcap - span <= f_full).tolist():
                         f_bits[c] &= ~(1 << (r0 + r))
-                keys.extend(zip(repeat("f"), range(r0, r1), repeat(c + self.off)))
-            if k < last:
-                x = store_load[r1, c] + quantum
-                store_load[r1, c] = x
-                if scap - x <= s_full:
-                    s_bits[c] &= ~(1 << r1)
-                keys.append(("s", r1, c + self.off))
-        return quantum, keys
+        for _, r1, c in runs[:-1]:
+            x = store_load[r1, c] + quantum
+            store_load[r1, c] = x
+            if scap - x <= s_full:
+                s_bits[c] &= ~(1 << r1)
+        return quantum
 
     def open_path(self, req: PacketRequest, g0: int, s: int) -> str | None:
         """Moves of the request's fewest-store path of open edges, or None
@@ -372,14 +382,28 @@ class _PackState:
         return "s".join(runs)
 
     def prices_at(self, eta: float) -> tuple[np.ndarray, np.ndarray, float]:
-        """Unmasked exponential prices for the dual bound, plus their volume."""
+        """Exponential prices of the usable edges for the dual bound.
+
+        Returns the store prices of the masked edges in row-major order, the
+        forward price grid with ``_BLOCKED`` off the mask, and the price
+        volume.  ``exp`` runs over the masked loads only; the store grid is
+        left to ``_price_grid``, for the rare dual sweep that reads it.
+        """
         prices, volume = [], 0.0
         for mask, load, cap in ((self.store_mask, self.store_load, self.store_cap),
                                 (self.fwd_mask, self.fwd_load, self.fwd_cap)):
-            price = np.where(mask, np.exp(eta * (load / cap - 1.0)) / cap, _BLOCKED)
-            volume += float(price[mask].sum()) * cap
+            price = np.exp(eta * (load[mask] / cap - 1.0)) / cap
+            volume += float(price.sum()) * cap
             prices.append(price)
-        return prices[0], prices[1], volume
+        return prices[0], _price_grid(self.fwd_mask, prices[1]), volume
+
+
+def _price_grid(mask: np.ndarray, prices: np.ndarray) -> np.ndarray:
+    """The grid of ``mask``'s shape with ``prices`` on it and ``_BLOCKED``
+    elsewhere."""
+    grid = np.full(mask.shape, _BLOCKED)
+    grid[mask] = prices
+    return grid
 
 
 def _row_bits(mask: np.ndarray) -> list[int]:
@@ -393,12 +417,6 @@ def _row_bits(mask: np.ndarray) -> list[int]:
     for row in np.flatnonzero(packed.any(axis=1)).tolist():
         bits[row] = int.from_bytes(raw[row * k:row * k + k], "little")
     return bits
-
-
-# windows of at most this many columns run their DP rows as Python floats:
-# there numpy's per-call overhead outweighs its per-column speed (measured
-# crossover 16-24 columns, at 20 and at 127 rows)
-_SCALAR_COLS = 16
 
 
 def _rows_numpy(store_w: np.ndarray, fwd_w: np.ndarray) -> tuple[float, int, np.ndarray]:
@@ -423,36 +441,6 @@ def _rows_numpy(store_w: np.ndarray, fwd_w: np.ndarray) -> tuple[float, int, np.
     return float(dist[d, j]), j, dist
 
 
-def _rows_scalar(store_w: list[list[float]],
-                 fwd_w: list[list[float]]) -> tuple[float, int, list[list[float]]]:
-    """The window DP of ``_window_shortest`` one float at a time."""
-    d = len(fwd_w)
-    prev = [0.0]
-    acc = 0.0
-    for x in store_w[0]:
-        acc += x
-        prev.append(acc)
-    dist = [prev]
-    cols = range(1, len(prev))
-    for k in range(1, d):
-        f, st = fwd_w[k - 1], store_w[k]
-        low = prev[0] + f[0]
-        row = [low]
-        seg = 0.0
-        for j in cols:
-            seg += st[j - 1]
-            v = prev[j] + f[j] - seg
-            if v < low:
-                low = v
-            row.append(low + seg)
-        dist.append(row)
-        prev = row
-    last = [p + f for p, f in zip(prev, fwd_w[d - 1])]
-    dist.append(last)
-    best = min(last)
-    return best, last.index(best), dist
-
-
 def _window_shortest(store_p: np.ndarray, fwd_p: np.ndarray,
                      req: PacketRequest, g0: int, s: int):
     """Cheapest-path DP over one request's window under the given prices.
@@ -462,22 +450,13 @@ def _window_shortest(store_p: np.ndarray, fwd_p: np.ndarray,
     through the forward edges, then the prefix-minimum trick folds all store
     chains in one pass, ``min.accumulate(enter - seg) + seg`` with ``seg``
     the running sum of the row's store prices.  The destination row admits
-    no stores (paths end on their first touch of row b).
-
-    Windows of at most ``_SCALAR_COLS`` columns run the rows as Python
-    floats (``_rows_scalar``) over one ``tolist`` copy of the window's
-    prices; wider ones run them as numpy calls writing into one table
-    (``_rows_numpy``).  Both make the same IEEE additions, subtractions and
-    comparisons in the same order, left to right along each row, so the
-    table, the best value and its first-minimum column agree bit for bit.
+    no stores (paths end on their first touch of row b).  The rows run as
+    numpy calls writing into one table (``_rows_numpy``).
 
     Returns the best end value, its column and the table.
     """
-    store_w = store_p[req.a:req.b, g0:g0 + s]
-    fwd_w = fwd_p[req.a:req.b, g0:g0 + s + 1]
-    if s + 1 <= _SCALAR_COLS:
-        return _rows_scalar(store_w.tolist(), fwd_w.tolist())
-    return _rows_numpy(store_w, fwd_w)
+    return _rows_numpy(store_p[req.a:req.b, g0:g0 + s],
+                       fwd_p[req.a:req.b, g0:g0 + s + 1])
 
 
 def _sweep_can_lower(fwd_p: np.ndarray, reqs: Sequence[PacketRequest],
@@ -544,7 +523,7 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
     eta = state.eta
 
     raw = np.zeros(M)
-    per_edges: list[dict[tuple[str, int, int], float]] = [dict() for _ in range(M)]
+    routes: list[list[tuple[float, GridPath]]] = [[] for _ in range(M)]
 
     # trivial dual bounds: request count and the origin out-capacity cut
     dual_best = min(float(M), origin_cut(reqs, store_cap, fwd_cap))
@@ -564,15 +543,9 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
         if moves is None:
             continue  # no residual path left; edges only fill, so for good
         # quantum: bounded by the residual along the path and the demand
-        quantum, keys = state.route(r.a, g0, moves, 1.0 - raw[i])
-        edges = per_edges[i]
-        # a route whose edges are all new to the request, as every first
-        # route is, books them at once: 0.0 + quantum == quantum
-        if not edges or edges.keys().isdisjoint(keys):
-            edges.update(dict.fromkeys(keys, quantum))
-        else:
-            for key in keys:
-                edges[key] = edges.get(key, 0.0) + quantum
+        quantum = state.route(r.a, g0, moves, 1.0 - raw[i])
+        if quantum > 0.0:
+            routes[i].append((quantum, GridPath(r.a, g0 + state.off, moves)))
         raw[i] += quantum
         if raw[i] < 1.0 - 1e-12:
             active.append(i)
@@ -581,11 +554,12 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
     # dual sweeps on a small ladder of price sharpnesses; every candidate is
     # a valid bound, the sharpness only decides how tight it comes out
     for eta_d in (eta, 2.0 * eta):
-        store_p, fwd_p, volume = state.prices_at(eta_d)
+        store_prices, fwd_p, volume = state.prices_at(eta_d)
         virt_p = np.exp(eta_d * (raw - 1.0))
         volume += float(virt_p.sum())
         if not _sweep_can_lower(fwd_p, reqs, state.gcol0, virt_p, volume, dual_best):
             continue
+        store_p = _price_grid(state.store_mask, store_prices)
         best = np.array([_window_shortest(store_p, fwd_p, r, g0, s)[0]
                          for r, g0, s in zip(reqs, state.gcol0, state.slack)])
         dp_count += M  # one cheapest path per request
@@ -601,11 +575,9 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
         if mask.any():
             congestion = max(congestion, float(load[mask].max()) / cap)
 
-    flows = []
-    for i, r in enumerate(reqs):
-        flows.append(SingleFlow(request=r, amount=float(min(raw[i], 1.0)),
-                                edges=dict(per_edges[i])))
-    return FractionalMCF(tuple(flows), dual_best, congestion, cert_gap,
+    flows = tuple(SingleFlow(request=r, amount=float(min(raw[i], 1.0)),
+                             paths=tuple(routes[i])) for i, r in enumerate(reqs))
+    return FractionalMCF(flows, dual_best, congestion, cert_gap,
                          dp_count, budget_out, cert_gap <= eps + 1e-12)
 
 

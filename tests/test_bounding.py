@@ -309,7 +309,8 @@ def as_mcf(flows):
 def test_truncate_fractional_confined_flow_only_scales():
     req = PacketRequest(id=0, a=0, b=2, t=1)
     edges = {("s", 0, 1): 0.7, ("f", 0, 2): 0.7, ("f", 1, 2): 0.7}
-    mcf = as_mcf([SingleFlow(req, 0.7, edges)])
+    mcf = as_mcf([SingleFlow(req, 0.7, ((0.7, GridPath(0, 1, "sff")),))])
+    assert mcf.flows[0].edges == edges
     out = truncate_fractional(mcf, 6, store_cap=1.0, fwd_cap=1.0)
     flow = out.flows[0]
     assert flow.edges.keys() == edges.keys()
@@ -320,7 +321,7 @@ def test_truncate_fractional_confined_flow_only_scales():
 
 def test_truncate_fractional_rejects_oversized_requests():
     req = PacketRequest(id=0, a=0, b=5, t=1)
-    mcf = as_mcf([SingleFlow(req, 0.0, {})])
+    mcf = as_mcf([SingleFlow(req, 0.0, ())])
     with pytest.raises(ValueError, match="travels"):
         truncate_fractional(mcf, 4, store_cap=1.0, fwd_cap=1.0)
     with pytest.raises(ValueError, match="positive"):
@@ -373,6 +374,49 @@ def test_truncate_fractional_solver_flows(seed, caps):
             assert rows == list(range(rows[0], flow.request.b))
         for weight, path in decompose(flow):
             assert len(path) <= 2 * d
+
+
+def rewrite_flow_edges(flow: SingleFlow, d: int) -> dict[tuple[str, int, int], float]:
+    """Edge map of the flow with everything past the first boundary replaced,
+    worked out on edge weights alone: the reference for the path-wise
+    truncation.  Edges whose tail time precedes the boundary are kept, and
+    the amount leaving each boundary vertex forwards straight on to the
+    destination row.  Stores on the destination row carry nothing and are
+    dropped."""
+    req = flow.request
+    boundary = first_boundary_after(req.t, d)
+    out: dict[tuple[str, int, int], float] = defaultdict(float)
+    leaving: dict[int, float] = defaultdict(float)
+    for (kind, row, col), w in flow.edges.items():
+        if kind == "s" and row == req.b:
+            continue
+        t = row + col
+        if t < boundary:
+            out[(kind, row, col)] += w
+        elif t == boundary:
+            leaving[row] += w
+    for row, w in leaving.items():
+        col = boundary - row
+        for r in range(row, req.b):
+            out[("f", r, col)] += w
+    return dict(out)
+
+
+def test_truncate_fractional_matches_edge_rewrite():
+    # the path-wise truncation against the per-edge rewrite it replaced
+    d = 4
+    rewritten = 0
+    for seed, caps in enumerate([(0.4, 0.3), (0.25, 0.25), (1.0, 0.5), (0.5, 1.0),
+                                 (0.4, 0.3), (0.4, 0.3)]):
+        mcf = solver_mcf(seed, d, caps)
+        out = truncate_fractional(mcf, d, store_cap=caps[0], fwd_cap=caps[1])
+        rho = scaled(caps)
+        for flow, new_flow in zip(mcf.flows, out.flows):
+            want = {e: w * rho for e, w in rewrite_flow_edges(flow, d).items()}
+            assert new_flow.edges.keys() == want.keys()
+            assert new_flow.edges == pytest.approx(want, rel=1e-12)
+            rewritten += want.keys() != flow.edges.keys()
+    assert rewritten > 0  # some flows cross a boundary
 
 
 @pytest.mark.parametrize("seed", [4, 5])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linesched import flow
+from linesched import flow, pipeline
 from linesched.flow import (
     FractionalMCF,
     MaxFlow,
@@ -19,8 +19,13 @@ from linesched.flow import (
     randomized_round,
 )
 from linesched.grid import GridPath, request_origin
-from linesched.model import PacketRequest, capacity_scale
+from linesched.model import PacketRequest, capacity_scale, gen_random_instance
 from linesched.oracle import fractional_optimum
+
+# windows of at most this many columns once ran their DP rows as Python
+# floats (rows_scalar below); the strategies still draw windows on both
+# sides of it
+SCALAR_COLS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +217,7 @@ def same_but_dp_count(a: FractionalMCF, b: FractionalMCF) -> bool:
 
 @st.composite
 def sweep_inputs(draw):
-    """Bands with windows on both sides of ``_SCALAR_COLS`` and capacities
+    """Bands with windows on both sides of ``SCALAR_COLS`` and capacities
     from the pipeline's capacity scale up to 1."""
     n = draw(st.integers(2, 10))
     reqs, hops = [], {}
@@ -221,7 +226,7 @@ def sweep_inputs(draw):
         b = draw(st.integers(a + 1, n - 1))
         reqs.append(PacketRequest(i, a, b, draw(st.integers(a, a + 6))))
         hops[i] = b - a + draw(st.one_of(st.integers(0, 3),
-                                         st.integers(0, 2 * flow._SCALAR_COLS)))
+                                         st.integers(0, 2 * SCALAR_COLS)))
     caps = st.floats(capacity_scale(), 1.0)
     return reqs, n, draw(caps), draw(caps), hops
 
@@ -364,6 +369,48 @@ def test_every_load_is_zero_or_one_quantum(inputs, k):
     assert mcf.congestion in (0.0, 1.0)
 
 
+def full_grid_prices(state, eta: float):
+    """The dual prices as ``prices_at`` once took them: ``exp`` over the
+    whole grid, then ``_BLOCKED`` off the mask; both grids and the volume."""
+    prices, volume = [], 0.0
+    for mask, load, cap in ((state.store_mask, state.store_load, state.store_cap),
+                            (state.fwd_mask, state.fwd_load, state.fwd_cap)):
+        price = np.where(mask, np.exp(eta * (load / cap - 1.0)) / cap, flow._BLOCKED)
+        volume += float(price[mask].sum()) * cap
+        prices.append(price)
+    return prices[0], prices[1], volume
+
+
+def bits_of(grid: np.ndarray) -> list[str]:
+    return [x.hex() for x in grid.ravel().tolist()]
+
+
+def wide_band():
+    """Forty requests of a 40-node line with windows up to 41 columns wide."""
+    rng = np.random.default_rng(11)
+    reqs, hops = [], {}
+    for i in range(40):
+        a = int(rng.integers(0, 38))
+        b = int(rng.integers(a + 1, 40))
+        reqs.append(PacketRequest(i, a, b, a + int(rng.integers(0, 30))))
+        hops[i] = b - a + int(rng.integers(0, 41))
+    return reqs, 40, capacity_scale(), capacity_scale(), hops
+
+
+@settings(max_examples=100, deadline=None)
+@given(sweep_inputs())
+@example(wide_band())
+def test_masked_prices_match_full_grid_prices(inputs):
+    _, (state,) = solve_keeping_states(*inputs)
+    for eta in (state.eta, 2.0 * state.eta):
+        store_want, fwd_want, volume_want = full_grid_prices(state, eta)
+        store, fwd, volume = state.prices_at(eta)
+        assert volume.hex() == volume_want.hex()
+        assert bits_of(fwd) == bits_of(fwd_want)
+        # the store grid a dual sweep builds from the masked prices
+        assert bits_of(flow._price_grid(state.store_mask, store)) == bits_of(store_want)
+
+
 def test_turn_without_residual_path_runs_no_dp():
     # requests 0 and 1 saturate the forward edges out of row 1 in request
     # 2's window, so its one turn finds no path; only dual sweeps count DPs
@@ -385,7 +432,7 @@ def test_precheck_on_hand_built_windows():
     state = flow._PackState(3, [req], [3], 1.0, 1.0, 0.05)
     assert state.open_path(req, 0, 1) == "ff"
     for row, col in ((1, 0), (0, 1)):
-        assert state.route(row, col, "f", 1.0)[0] == 1.0
+        assert state.route(row, col, "f", 1.0) == 1.0
     # only fsf is left: a store detour around the saturated forward edge (1, 0)
     assert state.open_path(req, 0, 1) == "fsf"
     # with every forward edge out of row 1 saturated, nothing is left
@@ -406,31 +453,62 @@ def test_straight_path_shortcut_on_hand_built_windows():
     # a saturated store in row a+1 leaves the straight path open; the
     # priced DP took the dearer sfff here (test_dp_prices_cells_right_of_a_blocked_store)
     state = fresh()
-    assert state.route(1, 0, "s", 1.0)[0] == 1.0
+    assert state.route(1, 0, "s", 1.0) == 1.0
     assert state.open_path(req, 0, 1) == "fff"
     # a loaded but open forward edge still counts as open
     state = fresh()
-    assert state.route(1, 0, "f", 0.5)[0] == 0.5
+    assert state.route(1, 0, "f", 0.5) == 0.5
     assert state.open_path(req, 0, 1) == "fff"
     # one store is needed, and sfff, fsff and ffsf all take one: walking
     # back forward before store puts it first
     state = fresh()
-    assert state.route(2, 0, "f", 1.0)[0] == 1.0
+    assert state.route(2, 0, "f", 1.0) == 1.0
     assert state.open_path(req, 0, 1) == "sfff"
     # with store (0, 0) saturated too, the store moves down a row
-    assert state.route(0, 0, "s", 1.0)[0] == 1.0
+    assert state.route(0, 0, "s", 1.0) == 1.0
     assert state.open_path(req, 0, 1) == "fsff"
 
 
 # ---------------------------------------------------------------------------
-# Cheapest-path DPs: the two row paths.
+# Cheapest-path DPs.
+
+def rows_scalar(store_w: list[list[float]],
+                fwd_w: list[list[float]]) -> tuple[float, int, list[list[float]]]:
+    """The window DP one float at a time: the reference ``_rows_numpy`` is
+    checked against, with the same IEEE operations in the same order."""
+    d = len(fwd_w)
+    prev = [0.0]
+    acc = 0.0
+    for x in store_w[0]:
+        acc += x
+        prev.append(acc)
+    dist = [prev]
+    cols = range(1, len(prev))
+    for k in range(1, d):
+        f, st = fwd_w[k - 1], store_w[k]
+        low = prev[0] + f[0]
+        row = [low]
+        seg = 0.0
+        for j in cols:
+            seg += st[j - 1]
+            v = prev[j] + f[j] - seg
+            if v < low:
+                low = v
+            row.append(low + seg)
+        dist.append(row)
+        prev = row
+    last = [p + f for p, f in zip(prev, fwd_w[d - 1])]
+    dist.append(last)
+    best = min(last)
+    return best, last.index(best), dist
+
 
 @st.composite
 def price_grids(draw):
     """Random prices on an ``n``-row grid of ``W`` columns and requests whose
     windows fit in it, with ``_BLOCKED`` entries and ties among the prices."""
     n = draw(st.integers(2, 9))
-    width = draw(st.integers(1, 2 * flow._SCALAR_COLS))
+    width = draw(st.integers(1, 2 * SCALAR_COLS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         store = rng.uniform(1e-3, 2.0, (n, width - 1))
@@ -462,14 +540,14 @@ def test_scalar_and_numpy_rows_agree(grid):
         store_w = store[r.a:r.b, g0:g0 + s]
         fwd_w = fwd[r.a:r.b, g0:g0 + s + 1]
         best_n, j_n, dist_n = flow._rows_numpy(store_w, fwd_w)
-        best_s, j_s, dist_s = flow._rows_scalar(store_w.tolist(), fwd_w.tolist())
+        best_s, j_s, dist_s = rows_scalar(store_w.tolist(), fwd_w.tolist())
         assert (best_n.hex(), j_n) == (best_s.hex(), j_s)
         assert dist_n.tolist() == dist_s
         assert j_n <= s
-        # the dispatcher picks the row path by window width alone
+        # the window DP runs the numpy rows on the request's window
         got = flow._window_shortest(store, fwd, r, g0, s)
         assert (got[0].hex(), got[1]) == (best_n.hex(), j_n)
-        assert isinstance(got[2], list) == (s + 1 <= flow._SCALAR_COLS)
+        assert got[2].tolist() == dist_s
 
 
 def twice_entered_store_run():
@@ -493,7 +571,7 @@ def test_reachable_iff_window_dp_finds_a_path(grid):
         fwd_w = fwd[r.a:r.b, g0:g0 + s + 1]
         reach = flow._PackState.open_path(bits, r, g0, s) is not None
         assert reach == (flow._rows_numpy(store_w, fwd_w)[0] < flow._BLOCKED_ABOVE)
-        assert reach == (flow._rows_scalar(store_w.tolist(), fwd_w.tolist())[0]
+        assert reach == (rows_scalar(store_w.tolist(), fwd_w.tolist())[0]
                          < flow._BLOCKED_ABOVE)
 
 
@@ -501,23 +579,24 @@ def test_reachable_iff_window_dp_finds_a_path(grid):
                    "price right of a _BLOCKED store (ROADMAP item 3(c))")
 def test_dp_prices_cells_right_of_a_blocked_store():
     # unit prices but for a blocked store and a dear start of column 0; the
-    # cheapest open path is sfff at 4, which both row paths price at 2
+    # cheapest open path is sfff at 4, which the numpy rows and their
+    # reference both price at 2
     store = np.ones((3, 1))
     store[1, 0] = flow._BLOCKED
     fwd = np.ones((3, 2))
     fwd[0, 0] = fwd[1, 0] = 100.0
     assert flow._rows_numpy(store, fwd)[0] == 4.0
-    assert flow._rows_scalar(store.tolist(), fwd.tolist())[0] == 4.0
+    assert rows_scalar(store.tolist(), fwd.tolist())[0] == 4.0
 
 
 def test_row_paths_on_edge_windows():
     # d = 1, s = 0, a two-row grid, and windows on both sides of the cutoff
-    for d, s in ((1, 0), (1, 5), (3, 0), (4, flow._SCALAR_COLS - 1),
-                 (4, flow._SCALAR_COLS), (2, 3 * flow._SCALAR_COLS)):
+    for d, s in ((1, 0), (1, 5), (3, 0), (4, SCALAR_COLS - 1),
+                 (4, SCALAR_COLS), (2, 3 * SCALAR_COLS)):
         rng = np.random.default_rng(d * 100 + s)
         store_w, fwd_w = rng.uniform(0.1, 1.0, (d, s)), rng.uniform(0.1, 1.0, (d, s + 1))
         got_n = flow._rows_numpy(store_w, fwd_w)
-        got_s = flow._rows_scalar(store_w.tolist(), fwd_w.tolist())
+        got_s = rows_scalar(store_w.tolist(), fwd_w.tolist())
         assert got_n[:2] == got_s[:2]
         assert got_n[2].tolist() == got_s[2]
     req = PacketRequest(0, 0, 1, 0)
@@ -531,18 +610,17 @@ def load_of(state, kind: str, row: int, col: int) -> float:
 
 
 def route_and_check(state, row: int, g0: int, moves: str, demand: float) -> float:
-    """``state.route`` against its per-edge meaning: the quantum, the keys,
-    every load on the path, and the open bits on and off it."""
+    """``state.route`` against its per-edge meaning: the quantum, every load
+    on the path, and the open bits on and off it."""
     path = GridPath(row, g0, moves)
     before = {e: load_of(state, *e) for e in path.edges()}
     residual = min((state.store_cap if k == "s" else state.fwd_cap) - load
                    for (k, _, _), load in before.items())
-    quantum, keys = state.route(row, g0, moves, demand)
+    quantum = state.route(row, g0, moves, demand)
     if residual <= 0.0:
-        assert (quantum, keys) == (0.0, [])
+        assert quantum == 0.0
         return 0.0
     assert quantum == min(demand, residual)
-    assert keys == [(k, r, c + state.off) for k, r, c in path.edges()]
     for e, load in before.items():
         assert load_of(state, *e) == load + quantum
     # exactly the saturated edges are closed, on the path and off it
@@ -583,9 +661,9 @@ def test_route_updates_loads_and_open_bits():
     assert len(routed) > 5 and any(q < 0.05 for q in routed)  # some paths saturate
 
 
-def test_later_routes_add_to_a_requests_edges():
-    # request 1's second route ssf goes back through the store its first
-    # route sf took, which request 0's route f left it as the only way out
+def solve_recording_routes(*args) -> tuple[FractionalMCF, list]:
+    """Solve and record every route as ``(request id, quantum, edge keys)``,
+    the keys spelled out per edge in path order and grid columns."""
     calls = []
 
     class Recording(flow._PackState):
@@ -593,27 +671,78 @@ def test_later_routes_add_to_a_requests_edges():
             self.req_id = req.id
             return super().open_path(req, g0, s)
 
-        def route(self, *args):
-            quantum, keys = super().route(*args)
-            calls.append((self.req_id, quantum, keys))
-            return quantum, keys
+        def route(self, row, col, moves, demand):
+            quantum = super().route(row, col, moves, demand)
+            keys = [(k, r, c + self.off) for k, r, c in GridPath(row, col, moves).edges()]
+            calls.append((self.req_id, quantum, keys if quantum > 0.0 else []))
+            return quantum
 
-    reqs = [PacketRequest(0, 0, 1, 2), PacketRequest(1, 0, 1, 2)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flow, "_PackState", Recording)
-        mcf = max_throughput_mcf(reqs, 2, 1.5, 0.75, {0: 1, 1: 3})
+        return max_throughput_mcf(*args), calls
+
+
+def booked_edges(calls, rid: int) -> dict[tuple[str, int, int], float]:
+    """A request's edge map booked route by route, key by key."""
+    summed: dict[tuple[str, int, int], float] = {}
+    for i, quantum, keys in calls:
+        if i == rid:
+            for key in keys:
+                summed[key] = summed.get(key, 0.0) + quantum
+    return summed
+
+
+def test_later_routes_add_to_a_requests_edges():
+    # request 1's second route ssf goes back through the store its first
+    # route sf took, which request 0's route f left it as the only way out
+    reqs = [PacketRequest(0, 0, 1, 2), PacketRequest(1, 0, 1, 2)]
+    mcf, calls = solve_recording_routes(reqs, 2, 1.5, 0.75, {0: 1, 1: 3})
     assert [(i, k) for i, _, k in calls] == [
         (0, [("f", 0, 2)]),
         (1, [("s", 0, 2), ("f", 0, 3)]),
         (1, [("s", 0, 2), ("s", 0, 3), ("f", 0, 4)])]
     for f in mcf.flows:
-        summed: dict[tuple[str, int, int], float] = {}
-        for i, quantum, keys in calls:
-            if i == f.request.id:
-                for key in keys:
-                    summed[key] = summed.get(key, 0.0) + quantum
-        assert list(f.edges.items()) == list(summed.items())
+        assert list(f.edges.items()) == list(booked_edges(calls, f.request.id).items())
     assert mcf.flows[1].edges[("s", 0, 2)] == 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweep_inputs())
+def test_edge_maps_from_paths_match_per_route_booking(inputs):
+    # caps up to 1 let later routes of one request share edges; the map
+    # summed from the kept paths books the same floats in the same order
+    mcf, calls = solve_recording_routes(*inputs)
+    for f in mcf.flows:
+        assert "edges" not in f.__dict__  # built on first read only
+        assert [(q, list(p.edges())) for q, p in f.paths] == [
+            (q, keys) for i, q, keys in calls if i == f.request.id and q > 0.0]
+        assert list(f.edges.items()) == list(booked_edges(calls, f.request.id).items())
+        assert f.edges is f.edges
+
+
+def test_solve_builds_edge_maps_only_for_walked_flows():
+    # rounding walks the coin-accepted flows of the chosen class; every
+    # other flow of every fractional solve keeps its paths only
+    solves, walked = [], set()
+
+    def keeping(*args, **kwargs):
+        solves.append(max_throughput_mcf(*args, **kwargs))
+        return solves[-1]
+
+    def recording(mcf, seed):
+        got = randomized_round(mcf, seed)
+        walked.update(got)
+        return got
+
+    inst = gen_random_instance(64, 1, 1, 150, seed=5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "max_throughput_mcf", keeping)
+        mp.setattr(pipeline, "randomized_round", recording)
+        pipeline.solve_instance(inst, seed=5)
+    flows = [f for mcf in solves for f in mcf.flows]
+    assert walked and len(flows) > 10 * len(walked)
+    for f in flows:
+        assert ("edges" in f.__dict__) == (f.request.id in walked), f.request.id
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +752,10 @@ def hand_flow() -> SingleFlow:
     # amount 0.8 over a 2-forward request released at t=2 from node 0;
     # conservation holds at every interior cell
     req = PacketRequest(0, 0, 2, 2)
-    edges = {
+    paths = ((0.3, GridPath(0, 2, "ff")), (0.2, GridPath(0, 2, "fsf")),
+             (0.3, GridPath(0, 2, "sff")))
+    sf = SingleFlow(request=req, amount=0.8, paths=paths)
+    assert sf.edges == {
         ("f", 0, 2): 0.5,
         ("s", 0, 2): 0.3,
         ("f", 0, 3): 0.3,
@@ -631,7 +763,7 @@ def hand_flow() -> SingleFlow:
         ("f", 1, 2): 0.3,
         ("f", 1, 3): 0.5,
     }
-    return SingleFlow(request=req, amount=0.8, edges=edges)
+    return sf
 
 
 def test_decompose_hand_flow():
