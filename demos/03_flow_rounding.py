@@ -2,11 +2,12 @@
 
 The medium and long pipelines first solve a fractional relaxation: each
 request may split its unit of demand over many grid paths as long as edge
-loads stay within capacity.  ``max_throughput_mcf`` returns per-request edge
-maps plus a dual certificate that upper-bounds any schedule.  Rounding then
-makes one accept/reject coin per request (probability = routed amount) and,
-on accept, walks a single path sampled in proportion to the flow, so the
-chance any edge ends up used equals exactly the fractional load on it.
+loads stay within capacity.  ``max_throughput_mcf`` returns each request's
+flow as the weighted paths it routed, plus a dual certificate that
+upper-bounds any schedule.  Rounding then makes one accept/reject coin per
+request (probability = routed amount) and, on accept, picks one of those
+paths with probability proportional to its weight, so the chance any edge
+ends up used equals exactly the fractional load on it.
 
 The pipeline feeds the solver scaled-down capacities (a constant times the
 true ones) to leave headroom for the later routing stages, so the
@@ -15,8 +16,7 @@ interesting regime is fractional caps; that is what this demo uses.
 
 from collections import Counter
 
-from linesched import (PacketRequest, decompose, max_throughput_mcf,
-                       randomized_round)
+from linesched import PacketRequest, max_throughput_mcf, randomized_round
 
 requests = tuple(PacketRequest(i, a=i % 3, b=i % 3 + 3, t=1 + i % 2)
                  for i in range(6))
@@ -30,12 +30,11 @@ print(f"routed {mcf.throughput:.3f} of {len(requests)} requests "
 print("amounts:", " ".join(f"{f.request.id}:{f.amount:.2f}"
                            for f in mcf.flows))
 
-# The most split-up request shows the decomposition best.
-split = max(mcf.flows, key=lambda f: len(decompose(f, tol=1e-9)))
-parts = decompose(split, tol=1e-9)
+# The most split-up request shows the weighted paths best.
+split = max(mcf.flows, key=lambda f: len(f.paths))
 print(f"\nrequest {split.request.id} carries {split.amount:.3f} over "
-      f"{len(parts)} paths:")
-for amount, path in parts:
+      f"{len(split.paths)} paths:")
+for amount, path in split.paths:
     print(f"  {amount:.3f} on {path.moves!r}")
 
 # Round many times with independent seeds and compare the acceptance rate
@@ -44,7 +43,7 @@ partial = min(mcf.flows, key=lambda f: abs(f.amount - 0.5))
 hits = 0
 trials = 4000
 for seed in range(trials):
-    packing = randomized_round(mcf, master_seed=seed)
+    packing = randomized_round(mcf.flows, master_seed=seed)
     hits += partial.request.id in packing
 rate = hits / trials
 sigma = (partial.amount * (1 - partial.amount) / trials) ** 0.5
@@ -53,7 +52,7 @@ print(f"\nacceptance of request {partial.request.id} over {trials} seeds: "
 
 # One concrete rounded packing, with its loads.  Rounding ignores the cap
 # scaling on purpose; the pipeline's congestion filter deals with pileups.
-packing = randomized_round(mcf, master_seed=7)
+packing = randomized_round(mcf.flows, master_seed=7)
 loads = Counter()
 for path in packing.values():
     loads.update(path.edges())

@@ -26,7 +26,6 @@ from .grid import (
 from .flow import (
     FractionalMCF,
     MaxFlow,
-    decompose,
     max_throughput_mcf,
     randomized_round,
 )

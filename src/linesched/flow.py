@@ -5,10 +5,9 @@ small integral routing problems (per-tile quadrant admission); it re-checks
 every answer against the residual min cut.  ``max_throughput_mcf`` is the
 fractional solver: it maximizes the number of fractionally accepted requests
 subject to per-edge capacities, a per-request cap of one unit, and a
-per-request hop budget.  ``decompose`` and ``randomized_round`` turn the
-fractional answer into weighted paths and into a random integral path set;
-both walk a request's flow from its origin with one shared walker
-(``_walk``) and differ only in how they pick the next move.
+per-request hop budget, and keeps each request's flow as the weighted paths
+it routed.  ``randomized_round`` turns the fractional answer into a random
+integral path set by picking one of those paths per accepted request.
 
 ``origin_cut`` is the closed-form bound behind both the solver's trivial
 dual bound and the upper bound printed next to every schedule
@@ -35,10 +34,9 @@ such a path is one forward run per window column joined by single stores,
 so its loads are one column slice per run and one scalar per store.  It
 adds the quantum into them in place, the same float additions a per-edge
 scatter makes, and clears a run whose edges all fill with one bit mask.
-The solver keeps each route as one ``(quantum, GridPath)`` pair; a flow's
-per-edge map (``SingleFlow.edges``) is summed from its paths only when
-something reads it, which in the pipeline is rounding's walk of the few
-coin-accepted flows.
+The solver keeps each route as one ``(quantum, GridPath)`` pair, which is
+all rounding reads; a flow's per-edge map (``SingleFlow.edges``) is summed
+from its paths only when something reads it, and no solve path does.
 
 Why fewest stores.  In the pipeline both capacities are ``C = lam min(B, c)
 <= 1/2``.  While every edge load is 0 or ``C``, a route pushes
@@ -83,7 +81,7 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -94,7 +92,6 @@ __all__ = [
     "FractionalMCF",
     "MaxFlow",
     "SingleFlow",
-    "decompose",
     "max_throughput_mcf",
     "origin_cut",
     "randomized_round",
@@ -194,7 +191,8 @@ class SingleFlow:
     maps each edge key ``(kind, row, col)``, kind ``"s"`` or ``"f"`` and the
     tail cell in untilted coordinates, to the summed quanta of the paths
     through it.  It is built on first read and kept: the quanta are added
-    path by path in route order, each path's edges in path order.
+    path by path in route order, each path's edges in path order.  No solve
+    path reads it; rounding picks whole paths.
     """
 
     request: PacketRequest
@@ -576,89 +574,41 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
             congestion = max(congestion, float(load[mask].max()) / cap)
 
     flows = tuple(SingleFlow(request=r, amount=float(min(raw[i], 1.0)),
-                             paths=tuple(routes[i])) for i, r in enumerate(reqs))
+                             paths=tuple((float(q), p) for q, p in routes[i]))
+                  for i, r in enumerate(reqs))
     return FractionalMCF(flows, dual_best, congestion, cert_gap,
                          dp_count, budget_out, cert_gap <= eps + 1e-12)
 
 
 # ---------------------------------------------------------------------------
-# Fractional flow -> paths.
+# Fractional flow -> one path per request.
 
-def _walk(edges: Mapping[tuple[str, int, int], float], req: PacketRequest,
-          choose: Callable[[float, float], str | None]) -> GridPath | None:
-    """One origin-to-destination walk through a request's flow edges.
-
-    At every cell ``choose(wf, ws)`` gets the flow on the forward and the
-    store out-edge and returns ``"f"``, ``"s"``, or None to abandon the walk.
-    """
-    origin = request_origin(req)
-    row, col = origin
-    moves = []
-    while row < req.b:
-        mv = choose(edges.get(("f", row, col), 0.0), edges.get(("s", row, col), 0.0))
-        if mv is None:
-            return None
-        moves.append(mv)
-        if mv == "f":
-            row += 1
-        else:
-            col += 1
-    return GridPath(*origin, "".join(moves))
-
-
-def _heaviest(wf: float, ws: float) -> str | None:
-    if max(wf, ws) <= 0.0:
-        return None
-    return "f" if wf >= ws else "s"
-
-
-def decompose(flow: SingleFlow, tol: float = 1e-12) -> list[tuple[float, GridPath]]:
-    """Split one request's flow into weighted origin-to-destination paths.
-
-    Greedy stripping along the largest remaining out-edge; the support is a
-    DAG so this terminates, clearing at least one edge per path.
-    """
-    edges = {k: v for k, v in flow.edges.items() if v > tol}
-    out: list[tuple[float, GridPath]] = []
-    for _ in range(len(edges) + 2):
-        path = _walk(edges, flow.request, _heaviest) if edges else None
-        if path is None:
-            break
-        weight = min(edges[e] for e in path.edges())
-        for e in path.edges():
-            left = edges[e] - weight
-            if left > tol:
-                edges[e] = left
-            else:
-                del edges[e]
-        out.append((weight, path))
-    return out
-
-
-def randomized_round(mcf: FractionalMCF, master_seed: int,
+def randomized_round(flows: Iterable[SingleFlow], master_seed: int,
                      tol: float = 1e-12) -> dict[int, GridPath]:
-    """Round a fractional answer to one random path per accepted request.
+    """Round fractional flows to one random path per accepted request.
 
     Every request uses its own random stream (``request_rng``), drawing first
     the acceptance coin (success probability ``|f_i|``) and then one uniform
-    per step of the flow-proportional walk.  Results therefore do not depend
-    on the set or order of other requests.  For each support edge e,
-    ``Pr[e on the rounded path] = f_i(e)``.
+    that picks route k of its ``paths`` with probability ``q_k / sum q``, in
+    route order: a pick from the flow's path decomposition (Raghavan and
+    Thompson, Combinatorica 1987), so ``Pr[e on the rounded path] = f_i(e)``
+    for each edge e.  Results do not depend on the set or order of other
+    requests.  A positive amount on no path raises ``ValueError``.
     """
     accepted: dict[int, GridPath] = {}
-    for sf in mcf.flows:
+    for sf in flows:
         if sf.amount <= tol:
             continue
+        if not sf.paths:
+            raise ValueError(f"request {sf.request.id}: amount {sf.amount} on no path")
         rng = request_rng(master_seed, sf.request.id)
         if rng.random() >= min(sf.amount, 1.0):
             continue
-
-        # conservation can leave a dust-sized deficit at a cell the walk
-        # reaches with dust-sized probability; forwarding is then the only
-        # choice that still terminates
-        def coin(wf: float, ws: float) -> str:
-            total = wf + ws
-            return "f" if total <= 0.0 or rng.random() < wf / total else "s"
-
-        accepted[sf.request.id] = _walk(sf.edges, sf.request, coin)
+        pick = rng.random() * sum(q for q, _ in sf.paths)
+        # a pick that float rounding leaves at or past the sum takes the last route
+        for q, path in sf.paths:
+            pick -= q
+            if pick < 0.0:
+                break
+        accepted[sf.request.id] = path
     return accepted

@@ -8,7 +8,8 @@ The pipeline turns a fractional flow into an integral schedule in stages:
 2. split requests into the four tiling shift classes and keep the class
    holding the most fractional value,
 3. round each kept request independently: accept with probability equal to
-   its flow amount, then walk a random path through its own flow,
+   its flow amount, then pick one of its flow's paths with probability
+   proportional to the path's weight,
 4. drop every request that projects onto an overloaded tile-graph edge
    (load above 2*lambda*k counted over all rounded requests),
 5. inside every tile, route the survivors' origins to the boundary of the
@@ -35,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 from .flow import max_throughput_mcf, origin_cut, randomized_round
@@ -320,9 +321,8 @@ def run_medium_long(requests: Sequence[PacketRequest], n: int,
     phi_col, phi_row = shift_pairs(params.k)[chosen]
     tiling = Tiling(params.k, phi_col, phi_row)
     cls_ids = {r.id for r in classes[chosen]}
-    mcf_cls = replace(mcf, flows=tuple(
-        f for f in mcf.flows if f.request.id in cls_ids))
-    rounded = randomized_round(mcf_cls, params.seed)
+    rounded = randomized_round([f for f in mcf.flows if f.request.id in cls_ids],
+                               params.seed)
     trace.rounded = tuple(sorted(rounded))
 
     kept = filter_congested(rounded, tiling, params.filter_threshold)

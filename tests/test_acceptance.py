@@ -17,8 +17,7 @@ import pytest
 
 from linesched.bounding import truncate_fractional, truncate_integral
 from linesched.cli import main as cli_main
-from linesched.flow import (FractionalMCF, SingleFlow, decompose,
-                            max_throughput_mcf, randomized_round)
+from linesched.flow import SingleFlow, max_throughput_mcf, randomized_round
 from linesched.grid import (GridPath, load_schedule, packing_to_schedule,
                             validate_schedule)
 from linesched.model import (Instance, PacketRequest, Thresholds,
@@ -180,7 +179,7 @@ def test_criterion_03_fractional_truncation():
         for (kind, _, _), w in loads.items():
             assert w <= (caps[0] if kind == "s" else caps[1]) + 1e-12
         for flow in out.flows:
-            for _, path in decompose(flow):
+            for _, path in flow.paths:
                 assert len(path) <= 2 * d
         checked += 1
     assert checked >= 140
@@ -219,14 +218,11 @@ def test_criterion_05_rounding_unbiasedness():
              ("f", 1, 1): 0.3, ("s", 1, 1): 0.1, ("f", 1, 2): 0.3}
     flow = SingleFlow(req, 0.6, paths)
     assert flow.edges == pytest.approx(edges, rel=1e-15)
-    mcf = FractionalMCF((flow,), dual_bound=1.0,
-                        congestion=1.0, cert_gap=0.0, dp_count=0,
-                        budget_exhausted=False, certified=True)
     trials = 100_000
     hits = Counter()
     accepted = 0
     for trial in range(trials):
-        rounded = randomized_round(mcf, trial)
+        rounded = randomized_round((flow,), trial)
         if 0 in rounded:
             accepted += 1
             hits.update(rounded[0].edges())

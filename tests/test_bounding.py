@@ -16,7 +16,7 @@ from linesched.bounding import (
     truncate_integral,
     truncate_path,
 )
-from linesched.flow import FractionalMCF, SingleFlow, decompose, max_throughput_mcf
+from linesched.flow import FractionalMCF, SingleFlow, max_throughput_mcf
 from linesched.grid import GridPath
 from linesched.model import PacketRequest
 
@@ -372,7 +372,7 @@ def test_truncate_fractional_solver_flows(seed, caps):
             rows.sort()
             assert rows[0] + col == boundary  # run starts on the boundary
             assert rows == list(range(rows[0], flow.request.b))
-        for weight, path in decompose(flow):
+        for weight, path in flow.paths:
             assert len(path) <= 2 * d
 
 
@@ -421,7 +421,7 @@ def test_truncate_fractional_matches_edge_rewrite():
 
 @pytest.mark.parametrize("seed", [4, 5])
 def test_truncate_fractional_matches_pathwise_construction(seed):
-    # second route to the same answer: decompose the input, truncate each
+    # second route to the same answer: take the input's paths, truncate each
     # path, re-accumulate prefix and suffix loads, compare edge by edge
     d = 4
     caps = (0.4, 0.3)
@@ -435,7 +435,7 @@ def test_truncate_fractional_matches_pathwise_construction(seed):
         suf = defaultdict(float)
         t0 = flow.request.t
         cut_at = first_boundary_after(t0, d) - t0
-        for weight, path in decompose(flow):
+        for weight, path in flow.paths:
             q, vertex = truncate_path(path, d)
             for i, e in enumerate(q.edges()):
                 if vertex is not None and i >= cut_at:

@@ -13,13 +13,13 @@ from linesched.flow import (
     FractionalMCF,
     MaxFlow,
     SingleFlow,
-    decompose,
     max_throughput_mcf,
     origin_cut,
     randomized_round,
 )
 from linesched.grid import GridPath, request_origin
-from linesched.model import PacketRequest, capacity_scale, gen_random_instance
+from linesched.model import (PacketRequest, capacity_scale, gen_random_instance,
+                             request_rng)
 from linesched.oracle import fractional_optimum
 
 # windows of at most this many columns once ran their DP rows as Python
@@ -97,9 +97,9 @@ def agg_edge_loads(mcf: FractionalMCF) -> dict[tuple[str, int, int], float]:
 def check_feasible(mcf: FractionalMCF, store_cap, fwd_cap, hops):
     for f in mcf.flows:
         assert -1e-12 <= f.amount <= 1.0 + 1e-12
-        total = sum(w for w, _ in decompose(f))
-        assert total == pytest.approx(f.amount, rel=1e-9, abs=1e-9)
-        for w, path in decompose(f):
+        # the amount is the routes' quanta summed in route order, capped at 1
+        assert min(sum(q for q, _ in f.paths), 1.0) == f.amount
+        for w, path in f.paths:
             assert (path.row, path.col) == request_origin(f.request)
             assert path.moves.count("f") == f.request.distance
             assert path.moves[-1] == "f"
@@ -141,7 +141,8 @@ def test_mcf_tight_hop_bound_forces_direct_path():
     reqs = [PacketRequest(0, 1, 3, 4)]
     mcf = max_throughput_mcf(reqs, n=4, store_cap=1.0, fwd_cap=1.0,
                              hop_bounds={0: 2})
-    for _, path in decompose(mcf.flows[0]):
+    assert mcf.flows[0].paths
+    for _, path in mcf.flows[0].paths:
         assert path.moves == "ff"
     with pytest.raises(ValueError, match="hop bound"):
         max_throughput_mcf(reqs, n=4, store_cap=1.0, fwd_cap=1.0, hop_bounds={0: 1})
@@ -720,29 +721,34 @@ def test_edge_maps_from_paths_match_per_route_booking(inputs):
         assert f.edges is f.edges
 
 
-def test_solve_builds_edge_maps_only_for_walked_flows():
-    # rounding walks the coin-accepted flows of the chosen class; every
-    # other flow of every fractional solve keeps its paths only
-    solves, walked = [], set()
+def solve_keeping_flows(inst, seed: int) -> tuple[list[SingleFlow], dict]:
+    """Every λ-solve flow of one ``solve_instance`` call, and what rounding
+    returned, merged over the bands."""
+    solves, rounded = [], {}
 
     def keeping(*args, **kwargs):
         solves.append(max_throughput_mcf(*args, **kwargs))
         return solves[-1]
 
-    def recording(mcf, seed):
-        got = randomized_round(mcf, seed)
-        walked.update(got)
+    def recording(flows, seed):
+        got = randomized_round(flows, seed)
+        rounded.update(got)
         return got
 
-    inst = gen_random_instance(64, 1, 1, 150, seed=5)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "max_throughput_mcf", keeping)
         mp.setattr(pipeline, "randomized_round", recording)
-        pipeline.solve_instance(inst, seed=5)
-    flows = [f for mcf in solves for f in mcf.flows]
-    assert walked and len(flows) > 10 * len(walked)
+        pipeline.solve_instance(inst, seed=seed)
+    return [f for mcf in solves for f in mcf.flows], rounded
+
+
+def test_solve_builds_no_edge_maps():
+    # rounding picks whole paths, so no flow of any fractional solve ever
+    # sums its paths into an edge map
+    flows, rounded = solve_keeping_flows(gen_random_instance(64, 1, 1, 150, seed=5), 5)
+    assert rounded and len(flows) > 10 * len(rounded)
     for f in flows:
-        assert ("edges" in f.__dict__) == (f.request.id in walked), f.request.id
+        assert "edges" not in f.__dict__, f.request.id
 
 
 # ---------------------------------------------------------------------------
@@ -766,32 +772,28 @@ def hand_flow() -> SingleFlow:
     return sf
 
 
-def test_decompose_hand_flow():
-    paths = decompose(hand_flow())
-    assert sum(w for w, _ in paths) == pytest.approx(0.8, abs=1e-12)
-    seen = {p.moves for _, p in paths}
-    assert seen <= {"ff", "fsf", "sff", "fssf"}  # walks of this support
-    for _, p in paths:
-        assert p.moves.count("f") == 2 and p.moves[-1] == "f"
-
-
 def test_randomized_round_is_deterministic_per_seed():
-    mcf = FractionalMCF((hand_flow(),), 1.0, 1.0, 0.0, 0, False, True)
-    a = randomized_round(mcf, 123)
-    b = randomized_round(mcf, 123)
+    flows = (hand_flow(),)
+    a = randomized_round(flows, 123)
+    b = randomized_round(flows, 123)
     assert a == b
-    outcomes = {tuple(sorted(randomized_round(mcf, s).items())) for s in range(40)}
+    outcomes = {tuple(sorted(randomized_round(flows, s).items())) for s in range(40)}
     assert len(outcomes) > 1
+
+
+def test_randomized_round_rejects_an_amount_on_no_path():
+    assert randomized_round((SingleFlow(PacketRequest(0, 0, 2, 1), 1e-13, ()),), 0) == {}
+    with pytest.raises(ValueError, match="no path"):
+        randomized_round((SingleFlow(PacketRequest(0, 0, 2, 1), 0.5, ()),), 0)
 
 
 def test_randomized_round_marginals():
     sf = hand_flow()
-    mcf = FractionalMCF((sf,), 1.0, 1.0, 0.0, 0, False, True)
     trials = 20000
     hits: dict[tuple[str, int, int], int] = {k: 0 for k in sf.edges}
     accepted = 0
     for seed in range(trials):
-        got = randomized_round(mcf, seed)
+        got = randomized_round((sf,), seed)
         if 0 not in got:
             continue
         accepted += 1
@@ -804,3 +806,53 @@ def test_randomized_round_marginals():
     for key, f_e in sf.edges.items():
         sigma = math.sqrt(f_e * (1 - f_e) / trials)
         assert abs(hits[key] / trials - f_e) <= 3.5 * sigma, key
+
+
+@settings(max_examples=100, deadline=None)
+@given(sweep_inputs())
+def test_rounding_picks_one_of_each_accepted_requests_routes(inputs):
+    flows = max_throughput_mcf(*inputs).flows
+    for seed in range(10):
+        got = randomized_round(flows, seed)
+        coin = {f.request.id for f in flows
+                if request_rng(seed, f.request.id).random() < min(f.amount, 1.0)}
+        assert got.keys() == coin
+        for f in flows:
+            if f.request.id in got:
+                assert got[f.request.id] in [p for _, p in f.paths]
+
+
+def walk_round(flows, master_seed: int) -> dict[int, GridPath]:
+    """The rounding that walked each accepted request's edge map from its
+    origin, one uniform per step, forward with probability ``wf / (wf + ws)``:
+    the reference for the route pick."""
+    accepted = {}
+    for sf in flows:
+        if sf.amount <= 1e-12:
+            continue
+        rng = request_rng(master_seed, sf.request.id)
+        if rng.random() >= min(sf.amount, 1.0):
+            continue
+        row, col = origin = request_origin(sf.request)
+        moves = []
+        while row < sf.request.b:
+            wf = sf.edges.get(("f", row, col), 0.0)
+            ws = sf.edges.get(("s", row, col), 0.0)
+            total = wf + ws
+            forward = total <= 0.0 or rng.random() < wf / total
+            moves.append("f" if forward else "s")
+            row, col = (row + 1, col) if forward else (row, col + 1)
+        accepted[sf.request.id] = GridPath(*origin, "".join(moves))
+    return accepted
+
+
+def test_route_pick_matches_the_walk_when_the_first_route_goes_forward():
+    # at pipeline caps a second route leaves the origin by the edge the
+    # first left open, so when the first starts forward the walk's first
+    # draw chooses between the two routes just as the pick does
+    flows, _ = solve_keeping_flows(gen_random_instance(64, 1, 1, 150, seed=5), 5)
+    forward = [f for f in flows if f.paths and f.paths[0][1].moves[0] == "f"]
+    assert sum(len(f.paths) == 2 for f in forward) > 10
+    for f in forward:
+        for seed in range(20):
+            assert randomized_round((f,), seed) == walk_round((f,), seed), f.request.id
