@@ -3,8 +3,10 @@
 The medium and long pipelines first solve a fractional relaxation: each
 request may split its unit of demand over many grid paths as long as edge
 loads stay within capacity.  ``max_throughput_mcf`` returns each request's
-flow as the weighted paths it routed, plus a dual certificate that
-upper-bounds any schedule.  Rounding then makes one accept/reject coin per
+flow as the weighted paths it routed, plus a dual bound that upper-bounds
+any schedule: the origin cut, since no cell sends out more than its store
+and forward capacity.  ``eps`` only sets the gap under which the solve
+counts as certified.  Rounding then makes one accept/reject coin per
 request (probability = routed amount) and, on accept, picks one of those
 paths with probability proportional to its weight, so the chance any edge
 ends up used equals exactly the fractional load on it.

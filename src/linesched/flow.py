@@ -9,75 +9,57 @@ per-request hop budget, and keeps each request's flow as the weighted paths
 it routed.  ``randomized_round`` turns the fractional answer into a random
 integral path set by picking one of those paths per accepted request.
 
-``origin_cut`` is the closed-form bound behind both the solver's trivial
-dual bound and the upper bound printed next to every schedule
+``origin_cut`` is the closed-form bound behind both the solver's dual bound
+and the upper bound printed next to every schedule
 (``pipeline.fractional_upper_bound``): a path leaves its origin cell
 through that cell's store or forward edge, so one cell sends out at most
 ``store_cap + fwd_cap`` units, whatever the path lengths.
 
-The fractional solver pairs a primal packing loop with an LP-duality
-certificate.  The primal side routes flow greedily in round-robin turns,
-each along the fewest-store open path of the request's window, and never
-beyond residual capacity, so the held flow is feasible at every moment and
-nothing is lost to rescaling.  ``_PackState`` keeps one Python ``int`` per
-grid column of open store edges and one of open forward edges, bit = row,
-and clears an edge's bit when a route saturates it.  ``_PackState.open_path``
-fills the window's reachable cells column by column from these bitsets, a
-few big-integer operations per column in the bit-parallel style of Myers
-(JACM 1999), and stops at the first column that reaches the destination
-row: a path ending in window column ``j`` takes ``j`` stores.  It walks the
-path back from there.  Most paths take few stores, so a fill costs far
-fewer steps than the window has rows.  A turn whose window holds no open
-path drops its request for good, since edges only ever fill.
-``_PackState.route`` then pushes the turn's flow a column run at a time:
-such a path is one forward run per window column joined by single stores,
-so its loads are one column slice per run and one scalar per store.  It
-adds the quantum into them in place, the same float additions a per-edge
-scatter makes, and clears a run whose edges all fill with one bit mask.
-The solver keeps each route as one ``(quantum, GridPath)`` pair, which is
-all rounding reads; a flow's per-edge map (``SingleFlow.edges``) is summed
-from its paths only when something reads it, and no solve path does.
+The fractional solver routes flow greedily in round-robin turns, each along
+the fewest-store open path of the request's window, and never beyond
+residual capacity, so the held flow is feasible at every moment and nothing
+is lost to rescaling.  ``_PackState`` keeps one Python ``int`` per grid
+column of open store edges and one of open forward edges, bit = row, and
+clears an edge's bit when a route saturates it.  Each window is a column
+range with one row mask, so the bits start as those masks ORed into the
+nodes of a segment tree over the columns (Bentley 1977) and pushed down to
+the columns once.  ``_PackState.open_path`` fills the window's reachable
+cells column by column from these bitsets, a few big-integer operations per
+column in the bit-parallel style of Myers (JACM 1999), and stops at the
+first column that reaches the destination row: a path ending in window
+column ``j`` takes ``j`` stores.  It walks the path back from there.  Most
+paths take few stores, so a fill costs far fewer steps than the window has
+rows.  A turn whose window holds no open path drops its request for good,
+since edges only ever fill.  ``_PackState.route`` then pushes the turn's
+flow a column run at a time: such a path is one forward run per window
+column joined by single stores.  An open edge's load is 0 unless the
+sparse per-column map ``_PackState.partial`` holds it, so a run reads loads
+only in a column that has some, and a run whose edges all fill clears its
+open bits with one mask.  The solver keeps each route as one
+``(quantum, GridPath)`` pair, which is all rounding reads; a flow's per-edge
+map (``SingleFlow.edges``) is summed from its paths only when something
+reads it, and no solve path does.
 
 Why fewest stores.  In the pipeline both capacities are ``C = lam min(B, c)
-<= 1/2``.  While every edge load is 0 or ``C``, a route pushes
-``min(demand, C)`` and saturates its whole path, whose first edge is one of
-the origin cell's two out-edges.  So a request routes at most twice, its
-demand before either route is 1 or ``1 - C >= C``, and every route pushes a
-full ``C``, which keeps every load at 0 or ``C``.  Congestion prices then
-price all open edges alike, and a cheapest open path is a fewest-store one.
-Calls with other capacities use the same rule; their flow stays feasible
-and the certificate below stays valid.
+<= 1/2`` up to ``min(B, c) = 7``.  While every edge load is 0 or ``C``, a
+route pushes ``min(demand, C)`` and saturates its whole path, whose first
+edge is one of the origin cell's two out-edges.  So a request routes at most
+twice, its demand before either route is 1 or ``1 - C >= C``, and every
+route pushes a full ``C``, which keeps every load at 0 or ``C`` and the
+partial map empty.  Any congestion prices, a function of the load, would
+then price all open edges alike, and a cheapest open path is a fewest-store
+one.  Calls with other
+capacities (``B = c = 8`` gives ``C`` just above 1/2) use the same rule and
+fill the partial map; their flow stays feasible.
 
-The dual side uses the bound
-
-    OPT <= D(l) / alpha(l),   D(l) = sum_e l(e) cap(e),
-                              alpha(l) = min_i shortest_path_i(l)
-
-which is valid for any positive prices l (every accepted unit travels a path
-of price >= alpha while the total price volume a feasible flow can pay is at
-most D).  Evaluating it on the exponential prices of the final loads, plus
-the trivial bounds (request count, ``origin_cut``), gives a certified
-optimality gap that is real whatever the loop dynamics did.  ``eps`` sets
-those prices' sharpness and the gap under which a solve counts as
-certified.
-
-A dual sweep runs one cheapest-path DP per request over its window, a band
-of grid rows ``a..b-1`` and ``hop budget - distance + 1`` columns
-(``_window_shortest``), and runs only when it could lower the bound
-(``_sweep_can_lower``).  Each request's all-forward path lies in its window,
-and its price, summed in the DP's own order, bounds the DP's best value
-from above in floats.  So when ``volume / min(straight + virt)`` is no
-lower than the bound in hand, neither is ``volume / alpha``, and skipping
-the sweep leaves every bit of the bound as it was.  On long bands
-``volume / alpha`` tends to be many times ``origin_cut``, so the sweep is
-almost always skipped there.  The prices are taken over the masked edges
-only, and the store price grid, which only the sweep reads, is built only
-for a sweep that runs.
+The dual bound is ``min(M, origin_cut)``, the request count and the origin
+cut, each of which bounds the fractional optimum, raised to the primal if
+float rounding ever puts the primal above it.  ``eps`` sets only the gap
+under which a solve counts as certified.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -210,8 +192,9 @@ class SingleFlow:
 
 @dataclass(frozen=True)
 class FractionalMCF:
-    """What ``max_throughput_mcf`` found; ``dp_count`` counts the window
-    DPs of the dual sweeps, since packing turns run none."""
+    """What ``max_throughput_mcf`` found.  ``dp_count`` is always 0: no
+    solve runs a cheapest-path DP, and the field stays because
+    ``perfbench/layers.py`` reads it."""
 
     flows: tuple[SingleFlow, ...]
     dual_bound: float
@@ -228,32 +211,49 @@ class FractionalMCF:
 
 _SATURATED = 1e-12     # residual below cap * this counts as full
 
-# the window DP's price for an unusable edge, which _price_grid gives every
-# edge outside the masks: a huge finite price instead of +inf, since the DP
-# sums prices along rows and inf - inf would turn the prefix-minimum pass
-# into nan poison.  A window with a path of other edges prices it below the
-# threshold, so whether a cell is reachable reads true.  Its price may not:
-# right of a blocked store, (enter - seg) + seg loses the entering price in
-# _BLOCKED's ulp (about 1.4e14).  No solve reads such a cell: a dual sweep's
-# windows lie inside the masks, and packing reads the open bitsets, not prices
-_BLOCKED = 1e30
-_BLOCKED_ABOVE = 1e28
-
 # the packing loop stops after this many turns
 _TURNS_PER_REQUEST, _TURNS_BASE = 12, 2000
 
 
-class _PackState:
-    """Loads, open-edge bitsets and per-request windows on the grid.
+def _window_bits(width: int, windows: Iterable[tuple[int, int, int]]) -> list[int]:
+    """One Python int per column of ``width``, bit = row: the OR of every
+    window ``(first column, end column, row mask)`` over its columns.
 
-    ``eta``, the sharpness of the dual sweeps' prices
-    ``exp(eta (load/cap - 1))/cap``, is set from ``eps`` and the number of
-    usable edges.
+    Each mask goes into the O(log width) nodes of a segment tree over the
+    columns that tile its range (Bentley 1977), and one pass pushes every
+    node into its children, so the leaves end up as the columns' bits.
+    """
+    size = 1 << max(width - 1, 0).bit_length()
+    tree = [0] * (2 * size)
+    for lo, hi, mask in windows:
+        lo += size
+        hi += size
+        while lo < hi:
+            if lo & 1:
+                tree[lo] |= mask
+                lo += 1
+            if hi & 1:
+                hi -= 1
+                tree[hi] |= mask
+            lo >>= 1
+            hi >>= 1
+    for i in range(1, size):
+        tree[2 * i] |= tree[i]
+        tree[2 * i + 1] |= tree[i]
+    return tree[size:size + width]
+
+
+class _PackState:
+    """Open-edge bitsets, partial loads and per-request windows on the grid.
+
+    ``open[kind][col]`` has bit ``row`` set while edge ``(kind, row, col)``,
+    in window columns, lies in some request's window and is not saturated.
+    ``partial[kind][col]`` maps row to load for the open edges whose load is
+    not 0; ``congestion`` is the largest load over its capacity so far.
     """
 
-    def __init__(self, n: int, reqs: Sequence[PacketRequest], hops: list[int],
-                 store_cap: float, fwd_cap: float, eps: float):
-        self.n = n
+    def __init__(self, reqs: Sequence[PacketRequest], hops: list[int],
+                 store_cap: float, fwd_cap: float):
         self.store_cap = store_cap
         self.fwd_cap = fwd_cap
         cols0 = [r.t - r.a for r in reqs]
@@ -262,73 +262,55 @@ class _PackState:
         self.W = max(c0 + s for c0, s in zip(cols0, slacks)) - self.off + 1
         self.gcol0 = [c0 - self.off for c0 in cols0]
         self.slack = slacks
-
-        self.store_mask = np.zeros((n, max(self.W - 1, 0)), dtype=bool)
-        self.fwd_mask = np.zeros((n - 1, self.W), dtype=bool)
-        for i, r in enumerate(reqs):
-            g0, s = self.gcol0[i], self.slack[i]
-            # stores are never taken in the destination row (paths end on the
-            # first touch of row b), so their usable band stops at b-1
-            if s > 0:
-                self.store_mask[r.a:r.b, g0:g0 + s] = True
-            self.fwd_mask[r.a:r.b, g0:g0 + s + 1] = True
-        self.store_load = np.zeros_like(self.store_mask, dtype=float)
-        self.fwd_load = np.zeros_like(self.fwd_mask, dtype=float)
-        m_edges = int(self.store_mask.sum() + self.fwd_mask.sum()) + len(reqs)
-        self.eta = math.log(max(m_edges, 2) / min(eps, 0.5))
-        # edge kind -> residual bitsets, one Python int per grid column with
-        # bit = row, set while the edge is usable and not saturated
-        self.open = {"s": _row_bits(self.store_mask.T), "f": _row_bits(self.fwd_mask.T)}
+        # stores are never taken in the destination row (paths end on the
+        # first touch of row b), so a window's stores and forward edges span
+        # the same rows a..b-1; its stores stop a column short
+        stores, fwds = [], []
+        for r, g0, s in zip(reqs, self.gcol0, slacks):
+            rows = ((1 << r.distance) - 1) << r.a
+            stores.append((g0, g0 + s, rows))
+            fwds.append((g0, g0 + s + 1, rows))
+        self.open = {"s": _window_bits(self.W, stores), "f": _window_bits(self.W, fwds)}
+        self.partial: dict[str, dict[int, dict[int, float]]] = {"s": {}, "f": {}}
+        self.congestion = 0.0
 
     def route(self, row: int, col: int, moves: str, demand: float) -> float:
         """Push up to ``demand`` units along one window path, as far as its
         residual allows, and clear the open bits of the edges it saturates.
 
-        Returns the amount, 0 if the path has no residual.
+        Returns the amount, 0 if the path has no residual, which a path
+        through a closed edge never has.
 
         The path is walked a column run at a time: ``moves.split("s")`` gives
         one forward run per column, and a store leaves the last row of every
-        run but the final one.  A run's loads are one column slice, read and
-        updated in place, and a store's is one scalar.  Since ``cap - load``
-        only falls as ``load`` grows, also in floats, ``cap - slice.max()``
-        is the run's smallest residual and ``cap - slice.min()`` its largest,
-        so the quantum and the saturation test need no per-edge arrays, and
-        adding the quantum into each slice does the same float additions as
-        a per-edge scatter.  A run whose every edge saturates clears its open
-        bits with one mask; only a partly saturated run, which needs loads
-        other than 0 or one quantum (caps above 1/2), clears them bit by bit.
+        run but the final one, a run of one store edge.  Since ``cap - load``
+        only falls as ``load`` grows, also in floats, ``cap`` minus a kind's
+        largest load on the path (``_max_load``) is its smallest residual,
+        and every edge takes ``load + quantum`` (``_fill``).
         """
-        fwd_load, store_load = self.fwd_load, self.store_load
-        fcap, scap = self.fwd_cap, self.store_cap
-        runs = []  # per column: the forward run's first and end row
+        runs = {"f": [], "s": []}  # (first row, end row, column, row mask)
         r0 = row
         for c, run in enumerate(moves.split("s"), col):
-            runs.append((r0, r0 + len(run), c))
-            r0 += len(run)
-        quantum = demand
-        for r0, r1, c in runs:
+            r1 = r0 + len(run)
             if r1 > r0:
-                quantum = min(quantum, fcap - fwd_load[r0:r1, c].max())
-        for _, r1, c in runs[:-1]:
-            quantum = min(quantum, scap - store_load[r1, c])
+                runs["f"].append((r0, r1, c, ((1 << len(run)) - 1) << r0))
+            runs["s"].append((r1, r1 + 1, c, 1 << r1))
+            r0 = r1
+        runs["s"].pop()  # the path ends in the last run's column
+        caps = {"f": self.fwd_cap, "s": self.store_cap}
+        quantum, highs = demand, {}
+        for kind, kind_runs in runs.items():
+            if kind_runs:
+                bits = self.open[kind]
+                if any(bits[c] & m != m for _, _, c, m in kind_runs):
+                    return 0.0
+                highs[kind] = _max_load(self.partial[kind], kind_runs)
+                quantum = min(quantum, caps[kind] - highs[kind])
         if quantum <= 0.0:
             return 0.0
-        f_full, s_full = fcap * _SATURATED, scap * _SATURATED
-        f_bits, s_bits = self.open["f"], self.open["s"]
-        for r0, r1, c in runs:
-            if r1 > r0:
-                span = fwd_load[r0:r1, c]
-                span += quantum
-                if fcap - span.min() <= f_full:
-                    f_bits[c] &= ~(((1 << (r1 - r0)) - 1) << r0)
-                elif fcap - span.max() <= f_full:
-                    for r in np.flatnonzero(fcap - span <= f_full).tolist():
-                        f_bits[c] &= ~(1 << (r0 + r))
-        for _, r1, c in runs[:-1]:
-            x = store_load[r1, c] + quantum
-            store_load[r1, c] = x
-            if scap - x <= s_full:
-                s_bits[c] &= ~(1 << r1)
+        for kind, high in highs.items():
+            _fill(self.open[kind], self.partial[kind], caps[kind], runs[kind], quantum)
+            self.congestion = max(self.congestion, (high + quantum) / caps[kind])
         return quantum
 
     def open_path(self, req: PacketRequest, g0: int, s: int) -> str | None:
@@ -379,93 +361,51 @@ class _PackState:
         runs.reverse()
         return "s".join(runs)
 
-    def prices_at(self, eta: float) -> tuple[np.ndarray, np.ndarray, float]:
-        """Exponential prices of the usable edges for the dual bound.
 
-        Returns the store prices of the masked edges in row-major order, the
-        forward price grid with ``_BLOCKED`` off the mask, and the price
-        volume.  ``exp`` runs over the masked loads only; the store grid is
-        left to ``_price_grid``, for the rare dual sweep that reads it.
-        """
-        prices, volume = [], 0.0
-        for mask, load, cap in ((self.store_mask, self.store_load, self.store_cap),
-                                (self.fwd_mask, self.fwd_load, self.fwd_cap)):
-            price = np.exp(eta * (load[mask] / cap - 1.0)) / cap
-            volume += float(price.sum()) * cap
-            prices.append(price)
-        return prices[0], _price_grid(self.fwd_mask, prices[1]), volume
+def _max_load(partial: dict[int, dict[int, float]],
+              runs: list[tuple[int, int, int, int]]) -> float:
+    """The largest load on the runs' edges: ``partial``'s, 0 elsewhere."""
+    high = 0.0
+    for r0, r1, c, _ in runs:
+        col = partial.get(c)
+        if col:
+            for r in range(r0, r1):
+                high = max(high, col.get(r, 0.0))
+    return high
 
 
-def _price_grid(mask: np.ndarray, prices: np.ndarray) -> np.ndarray:
-    """The grid of ``mask``'s shape with ``prices`` on it and ``_BLOCKED``
-    elsewhere."""
-    grid = np.full(mask.shape, _BLOCKED)
-    grid[mask] = prices
-    return grid
+def _fill(bits: list[int], partial: dict[int, dict[int, float]], cap: float,
+          runs: list[tuple[int, int, int, int]], quantum: float) -> None:
+    """Add ``quantum`` to the load of every edge of ``runs``, clear the open
+    bits of those it saturates and keep the others' loads in ``partial``.
 
-
-def _row_bits(mask: np.ndarray) -> list[int]:
-    """One Python int per row of a boolean array, bit ``j`` for column ``j``.
-
-    Rows without a set bit, which no request's window reaches, cost nothing.
+    An edge of load 0 then holds the quantum, so when the quantum fills
+    such an edge it fills every edge, and each run's bits clear with one
+    mask.  Only a quantum short of the capacity, which needs loads other
+    than 0 or one quantum (caps above 1/2), books loads edge by edge.
     """
-    bits = [0] * len(mask)
-    packed = np.packbits(mask, axis=1, bitorder="little")
-    k, raw = packed.shape[1], packed.tobytes()
-    for row in np.flatnonzero(packed.any(axis=1)).tolist():
-        bits[row] = int.from_bytes(raw[row * k:row * k + k], "little")
-    return bits
-
-
-def _rows_numpy(store_w: np.ndarray, fwd_w: np.ndarray) -> tuple[float, int, np.ndarray]:
-    """The window DP of ``_window_shortest`` in whole-row numpy steps."""
-    d, w = fwd_w.shape
-    # every row's store prefix sums in one call; row k of the table is
-    # written in place by four ufunc calls
-    seg = np.empty((d, w))
-    seg[:, 0] = 0.0
-    np.add.accumulate(store_w, axis=1, out=seg[:, 1:])
-    dist = np.empty((d + 1, w))
-    dist[0] = seg[0]
-    add, sub, low = np.add, np.subtract, np.minimum.accumulate
-    for k in range(1, d):
-        row = dist[k]
-        add(dist[k - 1], fwd_w[k - 1], out=row)
-        sub(row, seg[k], out=row)
-        low(row, out=row)
-        add(row, seg[k], out=row)
-    add(dist[d - 1], fwd_w[d - 1], out=dist[d])
-    j = int(dist[d].argmin())
-    return float(dist[d, j]), j, dist
-
-
-def _window_shortest(store_p: np.ndarray, fwd_p: np.ndarray,
-                     req: PacketRequest, g0: int, s: int):
-    """Cheapest-path DP over one request's window under the given prices.
-
-    Table row ``k`` holds the cheapest price of reaching each window cell of
-    grid row ``a + k``.  Rows sweep top-down: a row enters from the row above
-    through the forward edges, then the prefix-minimum trick folds all store
-    chains in one pass, ``min.accumulate(enter - seg) + seg`` with ``seg``
-    the running sum of the row's store prices.  The destination row admits
-    no stores (paths end on their first touch of row b).  The rows run as
-    numpy calls writing into one table (``_rows_numpy``).
-
-    Returns the best end value, its column and the table.
-    """
-    return _rows_numpy(store_p[req.a:req.b, g0:g0 + s],
-                       fwd_p[req.a:req.b, g0:g0 + s + 1])
-
-
-def _sweep_can_lower(fwd_p: np.ndarray, reqs: Sequence[PacketRequest],
-                     gcol0: Sequence[int], virt_p: np.ndarray, volume: float,
-                     dual_best: float) -> bool:
-    """Whether a dual sweep at these prices could lower ``dual_best``; the
-    module docstring says why skipping it otherwise is exact."""
-    straight = np.array([np.add.accumulate(fwd_p[r.a:r.b, g0])[-1]
-                         for r, g0 in zip(reqs, gcol0)])
-    alpha = float((straight + virt_p).min())
-    return alpha > 0 and volume / alpha < dual_best
+    full = cap * _SATURATED
+    if cap - quantum <= full:
+        for r0, r1, c, m in runs:
+            bits[c] &= ~m
+            col = partial.get(c)
+            if col:
+                for r in range(r0, r1):
+                    col.pop(r, None)
+                if not col:
+                    del partial[c]
+        return
+    for r0, r1, c, _ in runs:
+        col = partial.setdefault(c, {})
+        for r in range(r0, r1):
+            x = col.get(r, 0.0) + quantum
+            if cap - x <= full:
+                bits[c] &= ~(1 << r)
+                col.pop(r, None)
+            else:
+                col[r] = x
+        if not col:
+            del partial[c]
 
 
 def origin_cut(requests: Iterable[PacketRequest], store_cap: float,
@@ -493,14 +433,15 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
     (enforced structurally through the per-request column window).
 
     The returned flow respects all capacities exactly (no rescaling step).
-    ``dual_bound`` is always a true upper bound on the fractional optimum;
-    ``cert_gap`` is the certified relative gap between the two, and
-    ``certified`` says whether it came in under ``eps``.  Routing stops
-    after ``12 M + 2000`` packing turns (``budget_exhausted``).  Each turn
-    routes the fewest-store open path of its window (module docstring), so
-    ``eps`` sets only the dual sweeps' price sharpness and the ``certified``
-    threshold.  ``dp_count`` counts the dual sweeps' cheapest-path DPs, ``M``
-    for each of the two sweeps that ran; packing turns run no DP.
+    ``dual_bound`` is ``min(M, origin_cut)``, a true upper bound on the
+    fractional optimum, raised to the primal where float rounding puts the
+    primal above it; ``cert_gap`` is the relative gap between the two, and
+    ``certified`` says whether it came in under ``eps``, which sets nothing
+    else.  Routing stops after ``12 M + 2000`` packing turns
+    (``budget_exhausted``); each turn routes the fewest-store open path of
+    its window (module docstring).  ``congestion`` is the largest edge load
+    over its capacity, and ``dp_count`` is always 0.  Every destination must
+    lie on the line of ``n`` nodes.
     """
     if store_cap <= 0 or fwd_cap <= 0:
         raise ValueError("capacities must be positive")
@@ -514,19 +455,16 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
         raise ValueError("duplicate request ids")
     hops = [hop_bounds[r.id] for r in reqs]
     for r, h in zip(reqs, hops):
+        if r.b >= n:
+            raise ValueError(f"request {r.id}: destination {r.b} beyond the line of {n} nodes")
         if h < r.distance:
             raise ValueError(f"request {r.id}: hop bound {h} below distance {r.distance}")
     turn_budget = _TURNS_PER_REQUEST * M + _TURNS_BASE
-    state = _PackState(n, reqs, hops, store_cap, fwd_cap, eps)
-    eta = state.eta
-
+    state = _PackState(reqs, hops, store_cap, fwd_cap)
     raw = np.zeros(M)
     routes: list[list[tuple[float, GridPath]]] = [[] for _ in range(M)]
 
-    # trivial dual bounds: request count and the origin out-capacity cut
-    dual_best = min(float(M), origin_cut(reqs, store_cap, fwd_cap))
-
-    turns = dp_count = 0
+    turns = 0
     budget_out = False
     active = deque(range(M))
     while active:
@@ -548,36 +486,15 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
         if raw[i] < 1.0 - 1e-12:
             active.append(i)
 
+    # the pairwise sum of numpy, which the golden traces pin to the last bit
     primal = float(raw.sum())
-    # dual sweeps on a small ladder of price sharpnesses; every candidate is
-    # a valid bound, the sharpness only decides how tight it comes out
-    for eta_d in (eta, 2.0 * eta):
-        store_prices, fwd_p, volume = state.prices_at(eta_d)
-        virt_p = np.exp(eta_d * (raw - 1.0))
-        volume += float(virt_p.sum())
-        if not _sweep_can_lower(fwd_p, reqs, state.gcol0, virt_p, volume, dual_best):
-            continue
-        store_p = _price_grid(state.store_mask, store_prices)
-        best = np.array([_window_shortest(store_p, fwd_p, r, g0, s)[0]
-                         for r, g0, s in zip(reqs, state.gcol0, state.slack)])
-        dp_count += M  # one cheapest path per request
-        alpha = float((best + virt_p).min())
-        if 0 < alpha < _BLOCKED_ABOVE:
-            dual_best = min(dual_best, volume / alpha)
-    dual_best = max(dual_best, primal)
-
-    cert_gap = 0.0 if dual_best <= 0 else max(0.0, 1.0 - primal / dual_best)
-    congestion = 0.0
-    for mask, load, cap in ((state.store_mask, state.store_load, store_cap),
-                            (state.fwd_mask, state.fwd_load, fwd_cap)):
-        if mask.any():
-            congestion = max(congestion, float(load[mask].max()) / cap)
-
+    dual_bound = max(primal, min(float(M), origin_cut(reqs, store_cap, fwd_cap)))
+    cert_gap = 0.0 if dual_bound <= 0 else max(0.0, 1.0 - primal / dual_bound)
     flows = tuple(SingleFlow(request=r, amount=float(min(raw[i], 1.0)),
                              paths=tuple((float(q), p) for q, p in routes[i]))
                   for i, r in enumerate(reqs))
-    return FractionalMCF(flows, dual_best, congestion, cert_gap,
-                         dp_count, budget_out, cert_gap <= eps + 1e-12)
+    return FractionalMCF(flows, dual_bound, float(state.congestion), cert_gap,
+                         0, budget_out, cert_gap <= eps + 1e-12)
 
 
 # ---------------------------------------------------------------------------

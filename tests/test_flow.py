@@ -1,6 +1,6 @@
+import contextlib
 import itertools
 import math
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,15 +17,11 @@ from linesched.flow import (
     origin_cut,
     randomized_round,
 )
-from linesched.grid import GridPath, request_origin
+from linesched.grid import GridPath, packing_to_schedule, request_origin, validate_schedule
 from linesched.model import (PacketRequest, capacity_scale, gen_random_instance,
                              request_rng)
 from linesched.oracle import fractional_optimum
 
-# windows of at most this many columns once ran their DP rows as Python
-# floats (rows_scalar below); the strategies still draw windows on both
-# sides of it
-SCALAR_COLS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -203,23 +199,15 @@ def test_mcf_empty_and_duplicate_ids():
     dup = [PacketRequest(0, 0, 1, 1), PacketRequest(0, 0, 1, 2)]
     with pytest.raises(ValueError, match="duplicate"):
         max_throughput_mcf(dup, n=4, store_cap=1.0, fwd_cap=1.0, hop_bounds={0: 4})
-
-
-def solve_with_every_sweep(*args) -> FractionalMCF:
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flow, "_sweep_can_lower", lambda *_: True)
-        return max_throughput_mcf(*args)
-
-
-def same_but_dp_count(a: FractionalMCF, b: FractionalMCF) -> bool:
-    # repr spells every float out to its last bit
-    return repr(replace(a, dp_count=0)) == repr(replace(b, dp_count=0))
+    with pytest.raises(ValueError, match="beyond the line"):
+        max_throughput_mcf([PacketRequest(0, 1, 4, 1)], n=4, store_cap=1.0, fwd_cap=1.0,
+                           hop_bounds={0: 3})
 
 
 @st.composite
 def sweep_inputs(draw):
-    """Bands with windows on both sides of ``SCALAR_COLS`` and capacities
-    from the pipeline's capacity scale up to 1."""
+    """Bands with narrow and wide windows, up to 33 columns, and
+    capacities from the pipeline's capacity scale up to 1."""
     n = draw(st.integers(2, 10))
     reqs, hops = [], {}
     for i in range(draw(st.integers(1, 10))):
@@ -227,34 +215,22 @@ def sweep_inputs(draw):
         b = draw(st.integers(a + 1, n - 1))
         reqs.append(PacketRequest(i, a, b, draw(st.integers(a, a + 6))))
         hops[i] = b - a + draw(st.one_of(st.integers(0, 3),
-                                         st.integers(0, 2 * SCALAR_COLS)))
+                                         st.integers(0, 32)))
     caps = st.floats(capacity_scale(), 1.0)
     return reqs, n, draw(caps), draw(caps), hops
 
 
 @settings(max_examples=200, deadline=None)
-@given(sweep_inputs())
-def test_skipping_a_dual_sweep_never_changes_the_result(inputs):
+@given(st.one_of(sweep_inputs(), tiny_mcf_inputs()))
+# a lone request held to its direct path can leave its origin cell only by
+# the forward edge, which the origin cut, counting the store too, cannot see
+@example(([PacketRequest(0, 0, 1, 0)], 2, 0.5, 0.5, {0: 1}))
+def test_dual_bound_is_the_origin_cut_or_the_primal(inputs):
     reqs, n, store_cap, fwd_cap, hops = inputs
-    got = max_throughput_mcf(reqs, n, store_cap, fwd_cap, hops)
-    swept = solve_with_every_sweep(reqs, n, store_cap, fwd_cap, hops)
-    assert same_but_dp_count(got, swept)
-    assert swept.dp_count - got.dp_count in (0, len(reqs), 2 * len(reqs))
-
-
-def test_dual_sweep_lowers_bound_below_origin_cut():
-    # a lone request held to its direct path can leave its origin cell only
-    # by the forward edge, which the origin cut, counting the store too,
-    # cannot see; the sweep must run and find a bound near fwd_cap
-    req = PacketRequest(0, 0, 1, 0)
-    args = ([req], 2, 0.5, 0.5, {0: 1})
-    got = max_throughput_mcf(*args)
-    assert origin_cut([req], 0.5, 0.5) == 1.0
-    assert 0.5 <= got.dual_bound < 0.51
-    assert same_but_dp_count(got, solve_with_every_sweep(*args))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flow, "_sweep_can_lower", lambda *_: False)
-        assert max_throughput_mcf(*args).dual_bound == 1.0
+    mcf = max_throughput_mcf(reqs, n, store_cap, fwd_cap, hops)
+    cut = min(float(len(reqs)), origin_cut(reqs, store_cap, fwd_cap))
+    assert mcf.dual_bound == max(mcf.throughput, cut)
+    assert mcf.dp_count == 0
 
 
 def window_paths(d: int, s: int):
@@ -302,6 +278,10 @@ def open_windows(draw):
 # of open forward edges, and leaves it by the store out of row 3
 @example((SimpleNamespace(open={"f": [0b111, 0b111, 0b1000], "s": [0b101, 0b1000, 0]}),
           PacketRequest(0, 0, 4, 0), 0, 2))
+# the fill reaches row 1 in columns 0 and 2, stores on from both into one
+# run of open stores, and leaves it from column 3
+@example((SimpleNamespace(open={"f": [0b1, 0, 0b1, 0b10, 0], "s": [0b111] * 4 + [0]}),
+          PacketRequest(0, 0, 2, 0), 0, 4))
 def test_open_path_is_the_brute_force_fewest_store_path(window):
     state, req, g0, s = window
     got = flow._PackState.open_path(state, req, g0, s)
@@ -328,62 +308,83 @@ def test_skipping_unreachable_turns_never_changes_the_result(inputs):
     assert repr(max_throughput_mcf(*inputs)) == repr(solve_with_brute_force_paths(*inputs))
 
 
-def solve_keeping_states(*args) -> tuple[FractionalMCF, list[flow._PackState]]:
+@contextlib.contextmanager
+def keeping_states():
+    """Keep every pack state built inside the block, each recording its
+    ``route`` calls as ``(row, col, moves, quantum)`` in ``calls``."""
     states = []
 
     class Kept(flow._PackState):
-        def __init__(self, *a):
-            super().__init__(*a)
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.calls = []
             states.append(self)
+
+        def route(self, row, col, moves, demand):
+            quantum = super().route(row, col, moves, demand)
+            self.calls.append((row, col, moves, quantum))
+            return quantum
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flow, "_PackState", Kept)
+        yield states
+
+
+def solve_keeping_states(*args) -> tuple[FractionalMCF, list[flow._PackState]]:
+    with keeping_states() as states:
         return max_throughput_mcf(*args), states
 
 
-def open_bits_from_loads(state) -> dict[str, list[int]]:
-    return {k: flow._row_bits((mask & (cap - load > cap * flow._SATURATED)).T)
-            for k, mask, load, cap in (
-                ("s", state.store_mask, state.store_load, state.store_cap),
-                ("f", state.fwd_mask, state.fwd_load, state.fwd_cap))}
+def window_bits(state, reqs) -> dict[str, list[int]]:
+    """Each window's rows ORed into its columns one by one: the reference
+    for the segment tree."""
+    bits = {"s": [0] * state.W, "f": [0] * state.W}
+    for r, g0, s in zip(sorted(reqs, key=lambda r: r.id), state.gcol0, state.slack):
+        rows = ((1 << r.distance) - 1) << r.a
+        for c in range(g0, g0 + s + 1):
+            bits["f"][c] |= rows
+            if c < g0 + s:
+                bits["s"][c] |= rows
+    return bits
 
 
-@settings(max_examples=100, deadline=None)
-@given(sweep_inputs())
-def test_open_bits_match_loads_after_a_solve(inputs):
-    _, (state,) = solve_keeping_states(*inputs)
-    assert open_bits_from_loads(state) == state.open
+def cap_of(state, kind: str) -> float:
+    return state.store_cap if kind == "s" else state.fwd_cap
 
 
-@settings(max_examples=200, deadline=None)
-@given(sweep_inputs(), st.integers(1, 7))
-def test_every_load_is_zero_or_one_quantum(inputs, k):
-    # the pipeline's capacities lam * min(B, c) stay at most 1/2 up to
-    # min(B, c) = 7: every route then pushes a full quantum C and saturates
-    # its path, which is why the fewest-store open path is a cheapest one
-    reqs, n, _, _, hops = inputs
-    cap = capacity_scale() * k
-    assert cap <= 0.5
-    mcf, (state,) = solve_keeping_states(reqs, n, cap, cap, hops)
-    for load in (state.store_load, state.fwd_load):
-        assert set(np.unique(load).tolist()) <= {0.0, cap}
-    assert mcf.congestion in (0.0, 1.0)
+def saturated(state, kind: str, load: float) -> bool:
+    cap = cap_of(state, kind)
+    return cap - load <= cap * flow._SATURATED
 
 
-def full_grid_prices(state, eta: float):
-    """The dual prices as ``prices_at`` once took them: ``exp`` over the
-    whole grid, then ``_BLOCKED`` off the mask; both grids and the volume."""
-    prices, volume = [], 0.0
-    for mask, load, cap in ((state.store_mask, state.store_load, state.store_cap),
-                            (state.fwd_mask, state.fwd_load, state.fwd_cap)):
-        price = np.where(mask, np.exp(eta * (load / cap - 1.0)) / cap, flow._BLOCKED)
-        volume += float(price[mask].sum()) * cap
-        prices.append(price)
-    return prices[0], prices[1], volume
+def replayed_loads(state) -> dict[tuple[str, int, int], float]:
+    """Every edge's load, its routes' quanta added edge by edge in call order."""
+    loads: dict[tuple[str, int, int], float] = {}
+    for row, col, moves, quantum in state.calls:
+        if quantum > 0.0:
+            for key in GridPath(row, col, moves).edges():
+                loads[key] = loads.get(key, 0.0) + quantum
+    return loads
 
 
-def bits_of(grid: np.ndarray) -> list[str]:
-    return [x.hex() for x in grid.ravel().tolist()]
+def partial_loads(state) -> dict[tuple[str, int, int], float]:
+    return {(k, r, c): x for k, cols in state.partial.items()
+            for c, part in cols.items() for r, x in part.items()}
+
+
+def check_state_against_loads(state, reqs, loads) -> None:
+    """The open bits are the windows' minus the saturated edges, the partial
+    map holds every other loaded edge's load, and the congestion is the
+    largest load over its capacity."""
+    bits = window_bits(state, reqs)
+    for (k, r, c), x in loads.items():
+        if saturated(state, k, x):
+            bits[k][c] &= ~(1 << r)
+    assert state.open == bits
+    assert partial_loads(state) == {e: x for e, x in loads.items()
+                                    if x > 0.0 and not saturated(state, e[0], x)}
+    assert state.congestion == max([x / cap_of(state, k) for (k, _, _), x in loads.items()],
+                                   default=0.0)
 
 
 def wide_band():
@@ -399,30 +400,49 @@ def wide_band():
 
 
 @settings(max_examples=100, deadline=None)
-@given(sweep_inputs())
+@given(st.one_of(sweep_inputs(), tiny_mcf_inputs()))
 @example(wide_band())
-def test_masked_prices_match_full_grid_prices(inputs):
-    _, (state,) = solve_keeping_states(*inputs)
-    for eta in (state.eta, 2.0 * state.eta):
-        store_want, fwd_want, volume_want = full_grid_prices(state, eta)
-        store, fwd, volume = state.prices_at(eta)
-        assert volume.hex() == volume_want.hex()
-        assert bits_of(fwd) == bits_of(fwd_want)
-        # the store grid a dual sweep builds from the masked prices
-        assert bits_of(flow._price_grid(state.store_mask, store)) == bits_of(store_want)
+def test_open_bits_match_loads_after_a_solve(inputs):
+    mcf, (state,) = solve_keeping_states(*inputs)
+    check_state_against_loads(state, inputs[0], replayed_loads(state))
+    assert mcf.congestion == state.congestion
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 70), st.lists(st.tuples(st.integers(0, 70), st.integers(0, 70),
+                                              st.integers(1, 2**12 - 1)), max_size=12))
+def test_window_bits_or_each_mask_into_its_columns(width, windows):
+    windows = [(min(lo, width), min(hi, width), m) for lo, hi, m in windows]
+    want = [0] * width
+    for lo, hi, m in windows:
+        for c in range(lo, hi):
+            want[c] |= m
+    assert flow._window_bits(width, windows) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweep_inputs(), st.integers(1, 7))
+def test_every_load_is_zero_or_one_quantum(inputs, k):
+    # the pipeline's capacities lam * min(B, c) stay at most 1/2 up to
+    # min(B, c) = 7: every route then pushes a full quantum C and saturates
+    # its path, which is why the fewest-store open path is a cheapest one,
+    # and no load is left partial
+    reqs, n, _, _, hops = inputs
+    cap = capacity_scale() * k
+    assert cap <= 0.5
+    mcf, (state,) = solve_keeping_states(reqs, n, cap, cap, hops)
+    assert state.partial == {"s": {}, "f": {}}
+    assert all(q == cap for f in mcf.flows for q, _ in f.paths)
+    assert mcf.congestion in (0.0, 1.0)
 
 
 def test_turn_without_residual_path_runs_no_dp():
     # requests 0 and 1 saturate the forward edges out of row 1 in request
-    # 2's window, so its one turn finds no path; only dual sweeps count DPs
+    # 2's window, so its one turn finds no path
     reqs = [PacketRequest(0, 1, 2, 1), PacketRequest(1, 1, 2, 2), PacketRequest(2, 0, 2, 0)]
-    args = (reqs, 3, 1.0, 1.0, {0: 1, 1: 1, 2: 3})
-    for sweeps, dps in ((False, 0), (True, 2 * len(reqs))):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(flow, "_sweep_can_lower", lambda *_: sweeps)
-            got = max_throughput_mcf(*args)
-        assert [f.amount for f in got.flows] == [1.0, 1.0, 0.0]
-        assert got.dp_count == dps
+    got = max_throughput_mcf(reqs, 3, 1.0, 1.0, {0: 1, 1: 1, 2: 3})
+    assert [f.amount for f in got.flows] == [1.0, 1.0, 0.0]
+    assert got.dp_count == 0
 
 
 def test_precheck_on_hand_built_windows():
@@ -430,7 +450,7 @@ def test_precheck_on_hand_built_windows():
     # path now returns the path. One window of two rows and two columns:
     # paths ff, sff and fsf
     req = PacketRequest(0, 0, 2, 0)
-    state = flow._PackState(3, [req], [3], 1.0, 1.0, 0.05)
+    state = flow._PackState([req], [3], 1.0, 1.0)
     assert state.open_path(req, 0, 1) == "ff"
     for row, col in ((1, 0), (0, 1)):
         assert state.route(row, col, "f", 1.0) == 1.0
@@ -448,11 +468,10 @@ def test_straight_path_shortcut_on_hand_built_windows():
     req = PacketRequest(0, 0, 3, 0)
 
     def fresh():
-        return flow._PackState(4, [req], [4], 1.0, 1.0, 0.05)
+        return flow._PackState([req], [4], 1.0, 1.0)
 
     assert fresh().open_path(req, 0, 1) == "fff"
-    # a saturated store in row a+1 leaves the straight path open; the
-    # priced DP took the dearer sfff here (test_dp_prices_cells_right_of_a_blocked_store)
+    # a saturated store in row a+1 leaves the straight path open
     state = fresh()
     assert state.route(1, 0, "s", 1.0) == 1.0
     assert state.open_path(req, 0, 1) == "fff"
@@ -470,185 +489,57 @@ def test_straight_path_shortcut_on_hand_built_windows():
     assert state.open_path(req, 0, 1) == "fsff"
 
 
-# ---------------------------------------------------------------------------
-# Cheapest-path DPs.
+class Booked:
+    """A pack state beside its loads, booked route by route, whose every
+    ``route`` is checked against its per-edge meaning: the quantum, the
+    loads on the path, the open bits, the partial map and the congestion."""
 
-def rows_scalar(store_w: list[list[float]],
-                fwd_w: list[list[float]]) -> tuple[float, int, list[list[float]]]:
-    """The window DP one float at a time: the reference ``_rows_numpy`` is
-    checked against, with the same IEEE operations in the same order."""
-    d = len(fwd_w)
-    prev = [0.0]
-    acc = 0.0
-    for x in store_w[0]:
-        acc += x
-        prev.append(acc)
-    dist = [prev]
-    cols = range(1, len(prev))
-    for k in range(1, d):
-        f, st = fwd_w[k - 1], store_w[k]
-        low = prev[0] + f[0]
-        row = [low]
-        seg = 0.0
-        for j in cols:
-            seg += st[j - 1]
-            v = prev[j] + f[j] - seg
-            if v < low:
-                low = v
-            row.append(low + seg)
-        dist.append(row)
-        prev = row
-    last = [p + f for p, f in zip(prev, fwd_w[d - 1])]
-    dist.append(last)
-    best = min(last)
-    return best, last.index(best), dist
+    def __init__(self, reqs, hops, store_cap, fwd_cap):
+        self.reqs = reqs
+        self.state = flow._PackState(reqs, hops, store_cap, fwd_cap)
+        self.loads: dict[tuple[str, int, int], float] = {}
 
-
-@st.composite
-def price_grids(draw):
-    """Random prices on an ``n``-row grid of ``W`` columns and requests whose
-    windows fit in it, with ``_BLOCKED`` entries and ties among the prices."""
-    n = draw(st.integers(2, 9))
-    width = draw(st.integers(1, 2 * SCALAR_COLS))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        store = rng.uniform(1e-3, 2.0, (n, width - 1))
-        fwd = rng.uniform(1e-3, 2.0, (n - 1, width))
-    else:  # few distinct values, so that paths tie
-        store = rng.choice([0.25, 0.5, 1.0], (n, width - 1))
-        fwd = rng.choice([0.25, 0.5, 1.0], (n - 1, width))
-    blocked = draw(st.sampled_from([0.0, 0.1, 0.5]))
-    store[rng.random(store.shape) < blocked] = flow._BLOCKED
-    fwd[rng.random(fwd.shape) < blocked] = flow._BLOCKED
-    reqs, gcol0, slack = [], [], []
-    for i in range(draw(st.integers(1, 10))):
-        a = draw(st.integers(0, n - 2))
-        b = draw(st.integers(a + 1, n - 1))
-        g0 = draw(st.integers(0, width - 1))
-        # the widest slack reaches the grid's last column
-        s = draw(st.one_of(st.just(width - 1 - g0), st.integers(0, width - 1 - g0)))
-        reqs.append(PacketRequest(i, a, b, a + g0))
-        gcol0.append(g0)
-        slack.append(s)
-    return store, fwd, reqs, gcol0, slack
-
-
-@settings(max_examples=300, deadline=None)
-@given(price_grids())
-def test_scalar_and_numpy_rows_agree(grid):
-    store, fwd, reqs, gcol0, slack = grid
-    for r, g0, s in zip(reqs, gcol0, slack):
-        store_w = store[r.a:r.b, g0:g0 + s]
-        fwd_w = fwd[r.a:r.b, g0:g0 + s + 1]
-        best_n, j_n, dist_n = flow._rows_numpy(store_w, fwd_w)
-        best_s, j_s, dist_s = rows_scalar(store_w.tolist(), fwd_w.tolist())
-        assert (best_n.hex(), j_n) == (best_s.hex(), j_s)
-        assert dist_n.tolist() == dist_s
-        assert j_n <= s
-        # the window DP runs the numpy rows on the request's window
-        got = flow._window_shortest(store, fwd, r, g0, s)
-        assert (got[0].hex(), got[1]) == (best_n.hex(), j_n)
-        assert got[2].tolist() == dist_s
-
-
-def twice_entered_store_run():
-    """A window whose one open path enters row 1 in columns 0 and 2, stores
-    on from both into one run of open stores, and leaves from column 3."""
-    store = np.ones((3, 4))
-    fwd = np.full((2, 5), flow._BLOCKED)
-    fwd[0, [0, 2]] = fwd[1, 3] = 1.0
-    return store, fwd, [PacketRequest(0, 0, 2, 0)], [0], [4]
-
-
-@settings(max_examples=300, deadline=None)
-@given(price_grids())
-@example(twice_entered_store_run())
-def test_reachable_iff_window_dp_finds_a_path(grid):
-    store, fwd, reqs, gcol0, slack = grid
-    bits = SimpleNamespace(open={"s": flow._row_bits((store < flow._BLOCKED_ABOVE).T),
-                                 "f": flow._row_bits((fwd < flow._BLOCKED_ABOVE).T)})
-    for r, g0, s in zip(reqs, gcol0, slack):
-        store_w = store[r.a:r.b, g0:g0 + s]
-        fwd_w = fwd[r.a:r.b, g0:g0 + s + 1]
-        reach = flow._PackState.open_path(bits, r, g0, s) is not None
-        assert reach == (flow._rows_numpy(store_w, fwd_w)[0] < flow._BLOCKED_ABOVE)
-        assert reach == (rows_scalar(store_w.tolist(), fwd_w.tolist())[0]
-                         < flow._BLOCKED_ABOVE)
-
-
-@pytest.mark.xfail(strict=True, reason="the prefix-minimum pass loses the entering "
-                   "price right of a _BLOCKED store (ROADMAP item 3(c))")
-def test_dp_prices_cells_right_of_a_blocked_store():
-    # unit prices but for a blocked store and a dear start of column 0; the
-    # cheapest open path is sfff at 4, which the numpy rows and their
-    # reference both price at 2
-    store = np.ones((3, 1))
-    store[1, 0] = flow._BLOCKED
-    fwd = np.ones((3, 2))
-    fwd[0, 0] = fwd[1, 0] = 100.0
-    assert flow._rows_numpy(store, fwd)[0] == 4.0
-    assert rows_scalar(store.tolist(), fwd.tolist())[0] == 4.0
-
-
-def test_row_paths_on_edge_windows():
-    # d = 1, s = 0, a two-row grid, and windows on both sides of the cutoff
-    for d, s in ((1, 0), (1, 5), (3, 0), (4, SCALAR_COLS - 1),
-                 (4, SCALAR_COLS), (2, 3 * SCALAR_COLS)):
-        rng = np.random.default_rng(d * 100 + s)
-        store_w, fwd_w = rng.uniform(0.1, 1.0, (d, s)), rng.uniform(0.1, 1.0, (d, s + 1))
-        got_n = flow._rows_numpy(store_w, fwd_w)
-        got_s = rows_scalar(store_w.tolist(), fwd_w.tolist())
-        assert got_n[:2] == got_s[:2]
-        assert got_n[2].tolist() == got_s[2]
-    req = PacketRequest(0, 0, 1, 0)
-    fwd = np.array([[2.0, 0.5, 0.25]])
-    store = np.array([[1.0, 1.0], [flow._BLOCKED, flow._BLOCKED]])
-    assert flow._window_shortest(store, fwd, req, 0, 2)[:2] == (1.5, 1)
-
-
-def load_of(state, kind: str, row: int, col: int) -> float:
-    return float((state.store_load if kind == "s" else state.fwd_load)[row, col])
-
-
-def route_and_check(state, row: int, g0: int, moves: str, demand: float) -> float:
-    """``state.route`` against its per-edge meaning: the quantum, every load
-    on the path, and the open bits on and off it."""
-    path = GridPath(row, g0, moves)
-    before = {e: load_of(state, *e) for e in path.edges()}
-    residual = min((state.store_cap if k == "s" else state.fwd_cap) - load
-                   for (k, _, _), load in before.items())
-    quantum = state.route(row, g0, moves, demand)
-    if residual <= 0.0:
-        assert quantum == 0.0
-        return 0.0
-    assert quantum == min(demand, residual)
-    for e, load in before.items():
-        assert load_of(state, *e) == load + quantum
-    # exactly the saturated edges are closed, on the path and off it
-    assert state.open == open_bits_from_loads(state)
-    return quantum
+    def route(self, row: int, g0: int, moves: str, demand: float) -> float:
+        state, loads = self.state, self.loads
+        path = list(GridPath(row, g0, moves).edges())
+        is_open = all(state.open[k][c] >> r & 1 for k, r, c in path)
+        quantum = state.route(row, g0, moves, demand)
+        if not is_open:
+            assert quantum == 0.0  # a closed edge has no residual
+        else:
+            residual = min(cap_of(state, k) - loads.get((k, r, c), 0.0) for k, r, c in path)
+            assert quantum == min(demand, residual)
+            for e in path:
+                loads[e] = loads.get(e, 0.0) + quantum
+        check_state_against_loads(state, self.reqs, loads)
+        return quantum
 
 
 def test_route_updates_loads_and_open_bits():
     reqs = [PacketRequest(0, 0, 4, 1), PacketRequest(1, 1, 5, 2)]
-    state = flow._PackState(6, reqs, [9, 8], 0.7, 1.3, 0.05)
+    booked = Booked(reqs, [9, 8], 0.7, 1.3)
+    state = booked.state
     assert state.gcol0 == [0, 0]
     # a path that starts with a store and has two stores in a row, so one
     # column's forward run is empty; nothing fills up
-    assert route_and_check(state, 0, 0, "ssffsff", 0.3) == 0.3
+    assert booked.route(0, 0, "ssffsff", 0.3) == 0.3
     # the second path's first run fills rows 1-3 of column 0 but not row 4:
     # a partly saturated run, whose bits are cleared one by one
-    assert route_and_check(state, 0, 0, "ffff", 0.6) == 0.6
-    assert route_and_check(state, 1, 0, "ffff", 0.9) == pytest.approx(0.7)
+    assert booked.route(0, 0, "ffff", 0.6) == 0.6
+    assert booked.route(1, 0, "ffff", 0.9) == pytest.approx(0.7)
     assert [state.open["f"][0] >> r & 1 for r in range(5)] == [1, 0, 0, 0, 1]
+    assert state.partial["f"][0] == pytest.approx({0: 0.6, 4: 0.7})
     # with the caps swapped, both runs of sffsff fill up and each is
     # cleared by one mask, while its stores stay open
-    state = flow._PackState(6, reqs, [9, 8], 1.3, 0.7, 0.05)
-    assert route_and_check(state, 0, 0, "sffsff", 1.0) == 0.7
+    booked = Booked(reqs, [9, 8], 1.3, 0.7)
+    state = booked.state
+    assert booked.route(0, 0, "sffsff", 1.0) == 0.7
     assert [state.open["f"][1] >> 0 & 3, state.open["f"][2] >> 2 & 3] == [0, 0]
     assert [state.open["s"][0] & 1, state.open["s"][1] >> 2 & 1] == [1, 1]
+    assert state.partial == {"s": {0: {0: 0.7}, 1: {2: 0.7}}, "f": {}}
 
-    state = flow._PackState(6, reqs, [9, 8], 0.7, 1.3, 0.05)
+    booked = Booked(reqs, [9, 8], 0.7, 1.3)
+    state = booked.state
     rng = np.random.default_rng(3)
     routed = []
     for step in range(40):
@@ -656,7 +547,7 @@ def test_route_updates_loads_and_open_bits():
         r, g0, s = reqs[i], state.gcol0[i], state.slack[i]
         stores = int(rng.integers(0, s + 1))
         moves = "".join(rng.permutation(["f"] * (r.distance - 1) + ["s"] * stores)) + "f"
-        quantum = route_and_check(state, r.a, g0, moves, float(rng.uniform(0.05, 0.6)))
+        quantum = booked.route(r.a, g0, moves, float(rng.uniform(0.05, 0.6)))
         if quantum > 0.0:
             routed.append(quantum)
     assert len(routed) > 5 and any(q < 0.05 for q in routed)  # some paths saturate
@@ -749,6 +640,20 @@ def test_solve_builds_no_edge_maps():
     assert rounded and len(flows) > 10 * len(rounded)
     for f in flows:
         assert "edges" not in f.__dict__, f.request.id
+
+
+def test_solve_at_caps_above_one_half_books_partial_loads():
+    # at B = c = 8 the λ solve's caps C = 8 lam pass 1/2, so a request's
+    # second route pushes 1 - C < C and leaves its path partly loaded
+    inst = gen_random_instance(64, 8, 8, 150, seed=5)
+    assert 0.5 < 8 * capacity_scale() < 0.52
+    with keeping_states() as states:
+        packing, _ = pipeline.solve_instance(inst, seed=5)
+    assert any(cols for state in states for cols in state.partial.values())
+    assert packing
+    verdict = validate_schedule(inst, packing_to_schedule(inst, packing))
+    assert verdict.ok, verdict.violations
+    assert verdict.accepted == len(packing)
 
 
 # ---------------------------------------------------------------------------
