@@ -25,7 +25,6 @@ from .grid import (
 )
 from .flow import (
     FractionalMCF,
-    MaxFlow,
     max_throughput_mcf,
     randomized_round,
 )

@@ -1,13 +1,13 @@
 """Flow machinery on the untilted grid.
 
-Three layers live here.  ``MaxFlow`` is a plain Dinic implementation for the
-small integral routing problems (per-tile quadrant admission); it re-checks
-every answer against the residual min cut.  ``max_throughput_mcf`` is the
-fractional solver: it maximizes the number of fractionally accepted requests
-subject to per-edge capacities, a per-request cap of one unit, and a
-per-request hop budget, and keeps each request's flow as the weighted paths
-it routed.  ``randomized_round`` turns the fractional answer into a random
-integral path set by picking one of those paths per accepted request.
+Two layers live here.  ``max_throughput_mcf`` is the fractional solver:
+it maximizes the number of fractionally accepted requests subject to
+per-edge capacities, a per-request cap of one unit, and a per-request hop
+budget, and keeps each request's flow as the weighted paths it routed.
+``randomized_round`` turns the fractional answer into a random integral
+path set by picking one of those paths per accepted request.  The integral
+max flow of per-tile quadrant admission lives with its only user,
+``routing.quadrant_route``.
 
 ``origin_cut`` is the closed-form bound behind both the solver's dual bound
 and the upper bound printed next to every schedule
@@ -27,15 +27,17 @@ the columns once.  ``_PackState.open_path`` fills the window's reachable
 cells column by column from these bitsets, a few big-integer operations per
 column in the bit-parallel style of Myers (JACM 1999), and stops at the
 first column that reaches the destination row: a path ending in window
-column ``j`` takes ``j`` stores.  It walks the path back from there.  Most
-paths take few stores, so a fill costs far fewer steps than the window has
-rows.  A turn whose window holds no open path drops its request for good,
-since edges only ever fill.  ``_PackState.route`` then pushes the turn's
-flow a column run at a time: such a path is one forward run per window
-column joined by single stores.  An open edge's load is 0 unless the
-sparse per-column map ``_PackState.partial`` holds it, so a run reads loads
-only in a column that has some, and a run whose edges all fill clears its
-open bits with one mask.  The solver keeps each route as one
+column ``j`` takes ``j`` stores.  It walks the path back from there, one
+forward run per column, and returns those runs.  Most paths take few stores,
+so a fill costs far fewer steps than the window has rows.  A turn whose
+window holds no open path drops its request for good, since edges only ever
+fill.  ``_PackState.route`` then pushes the turn's flow along those runs a
+run at a time: such a path is one forward run per window column joined by
+single stores, and its move string is spelled out once, for the kept
+``GridPath``, only when the turn routes something.  An open edge's load is 0
+unless the sparse per-column map ``_PackState.partial`` holds it, so a run
+reads loads only in a column that has some, and a run whose edges all fill
+clears its open bits with one mask.  The solver keeps each route as one
 ``(quantum, GridPath)`` pair, which is all rounding reads; a flow's per-edge
 map (``SingleFlow.edges``) is summed from its paths only when something
 reads it, and no solve path does.
@@ -68,98 +70,15 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .grid import GridPath, request_origin
-from .model import PacketRequest, SolverInvariantError, request_rng
+from .model import PacketRequest, request_rng
 
 __all__ = [
     "FractionalMCF",
-    "MaxFlow",
     "SingleFlow",
     "max_throughput_mcf",
     "origin_cut",
     "randomized_round",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Exact max flow (Dinic) for the small per-tile problems.
-
-class MaxFlow:
-    """Dinic's algorithm with integer capacities and a min-cut self-check.
-
-    ``add_edge`` returns a handle; after ``max_flow`` the routed amount on
-    that edge is available through ``flow_on``.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        # edge = [head, remaining capacity, reverse index, original capacity]
-        self.adj: list[list[list[int]]] = [[] for _ in range(n)]
-
-    def add_edge(self, u: int, v: int, cap: int) -> tuple[int, int]:
-        if cap < 0:
-            raise ValueError(f"negative capacity {cap}")
-        self.adj[u].append([v, cap, len(self.adj[v]), cap])
-        self.adj[v].append([u, 0, len(self.adj[u]) - 1, 0])
-        return (u, len(self.adj[u]) - 1)
-
-    def flow_on(self, handle: tuple[int, int]) -> int:
-        u, i = handle
-        e = self.adj[u][i]
-        return e[3] - e[1]
-
-    def _levels(self, s: int, t: int) -> list[int] | None:
-        level = [-1] * self.n
-        level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for e in self.adj[u]:
-                if e[1] > 0 and level[e[0]] < 0:
-                    level[e[0]] = level[u] + 1
-                    queue.append(e[0])
-        return level if level[t] >= 0 else None
-
-    def _augment(self, u: int, t: int, limit: int, level: list[int],
-                 it: list[int]) -> int:
-        if u == t:
-            return limit
-        while it[u] < len(self.adj[u]):
-            e = self.adj[u][it[u]]
-            if e[1] > 0 and level[e[0]] == level[u] + 1:
-                got = self._augment(e[0], t, min(limit, e[1]), level, it)
-                if got > 0:
-                    e[1] -= got
-                    self.adj[e[0]][e[2]][1] += got
-                    return got
-            it[u] += 1
-        return 0
-
-    def residual_reachable(self, s: int) -> set[int]:
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for e in self.adj[u]:
-                if e[1] > 0 and e[0] not in seen:
-                    seen.add(e[0])
-                    queue.append(e[0])
-        return seen
-
-    def max_flow(self, s: int, t: int) -> int:
-        if s == t:
-            raise ValueError("source equals sink")
-        total = 0
-        while (level := self._levels(s, t)) is not None:
-            it = [0] * self.n
-            while (got := self._augment(s, t, 1 << 60, level, it)) > 0:
-                total += got
-        # cross-check against the min cut induced by residual reachability
-        side = self.residual_reachable(s)
-        cut = sum(e[3] for u in side for e in self.adj[u]
-                  if e[0] not in side and e[3] > 0)
-        if cut != total:
-            raise SolverInvariantError(f"max-flow/min-cut mismatch: {total} vs {cut}")
-        return total
 
 
 # ---------------------------------------------------------------------------
@@ -274,48 +193,50 @@ class _PackState:
         self.partial: dict[str, dict[int, dict[int, float]]] = {"s": {}, "f": {}}
         self.congestion = 0.0
 
-    def route(self, row: int, col: int, moves: str, demand: float) -> float:
+    def route(self, col: int, runs: Sequence[tuple[int, int]],
+              demand: float) -> float:
         """Push up to ``demand`` units along one window path, as far as its
         residual allows, and clear the open bits of the edges it saturates.
 
         Returns the amount, 0 if the path has no residual, which a path
         through a closed edge never has.
 
-        The path is walked a column run at a time: ``moves.split("s")`` gives
-        one forward run per column, and a store leaves the last row of every
-        run but the final one, a run of one store edge.  Since ``cap - load``
-        only falls as ``load`` grows, also in floats, ``cap`` minus a kind's
-        largest load on the path (``_max_load``) is its smallest residual,
-        and every edge takes ``load + quantum`` (``_fill``).
+        ``runs`` holds the path's forward run in each of its columns from
+        ``col`` on, as ``(first row, end row)`` pairs (``open_path``), and a
+        store leaves the end row of every run but the last, a run of one
+        store edge.  Since ``cap - load`` only falls as ``load`` grows, also
+        in floats, ``cap`` minus a kind's largest load on the path
+        (``_max_load``) is its smallest residual, and every edge takes
+        ``load + quantum`` (``_fill``).
         """
-        runs = {"f": [], "s": []}  # (first row, end row, column, row mask)
-        r0 = row
-        for c, run in enumerate(moves.split("s"), col):
-            r1 = r0 + len(run)
+        fwds, stores = [], []  # (first row, end row, column, row mask)
+        for c, (r0, r1) in enumerate(runs, col):
             if r1 > r0:
-                runs["f"].append((r0, r1, c, ((1 << len(run)) - 1) << r0))
-            runs["s"].append((r1, r1 + 1, c, 1 << r1))
-            r0 = r1
-        runs["s"].pop()  # the path ends in the last run's column
-        caps = {"f": self.fwd_cap, "s": self.store_cap}
-        quantum, highs = demand, {}
-        for kind, kind_runs in runs.items():
+                fwds.append((r0, r1, c, ((1 << (r1 - r0)) - 1) << r0))
+            stores.append((r1, r1 + 1, c, 1 << r1))
+        stores.pop()  # the path ends in the last run's column
+        quantum, loaded = demand, []
+        for kind, cap, kind_runs in (("f", self.fwd_cap, fwds),
+                                     ("s", self.store_cap, stores)):
             if kind_runs:
                 bits = self.open[kind]
                 if any(bits[c] & m != m for _, _, c, m in kind_runs):
                     return 0.0
-                highs[kind] = _max_load(self.partial[kind], kind_runs)
-                quantum = min(quantum, caps[kind] - highs[kind])
+                high = _max_load(self.partial[kind], kind_runs)
+                quantum = min(quantum, cap - high)
+                loaded.append((kind, cap, kind_runs, high))
         if quantum <= 0.0:
             return 0.0
-        for kind, high in highs.items():
-            _fill(self.open[kind], self.partial[kind], caps[kind], runs[kind], quantum)
-            self.congestion = max(self.congestion, (high + quantum) / caps[kind])
+        for kind, cap, kind_runs, high in loaded:
+            _fill(self.open[kind], self.partial[kind], cap, kind_runs, quantum)
+            self.congestion = max(self.congestion, (high + quantum) / cap)
         return quantum
 
-    def open_path(self, req: PacketRequest, g0: int, s: int) -> str | None:
-        """Moves of the request's fewest-store path of open edges, or None
-        when its window holds no such path.
+    def open_path(self, req: PacketRequest, g0: int,
+                  s: int) -> list[tuple[int, int]] | None:
+        """The request's fewest-store path of open edges as its forward run
+        in each window column from ``g0`` on, ``(first row, end row)``, or
+        None when its window holds no such path.
 
         A forward fill of the reachable window cells, column by column from
         the origin's, with bit ``k`` for window row ``a + k``; ``x`` starts
@@ -333,8 +254,9 @@ class _PackState:
         The walk back from the destination cell goes up while its cell was
         entered from above and left otherwise: it climbs each column to the
         nearest cell up that was not entered from above, and takes the store
-        into that cell.  Ties among fewest-store paths thus go to the one
-        whose stores come earliest.
+        into that cell, so each column's climb is that column's run.  Ties
+        among fewest-store paths thus go to the one whose stores come
+        earliest.
         """
         a, d = req.a, req.distance
         full = (1 << d) - 1
@@ -356,10 +278,10 @@ class _PackState:
         runs = []
         for up in reversed(above):
             top = (~up & ((2 << k) - 1)).bit_length() - 1
-            runs.append("f" * (k - top))
+            runs.append((a + top, a + k))
             k = top
         runs.reverse()
-        return "s".join(runs)
+        return runs
 
 
 def _max_load(partial: dict[int, dict[int, float]],
@@ -461,7 +383,7 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
             raise ValueError(f"request {r.id}: hop bound {h} below distance {r.distance}")
     turn_budget = _TURNS_PER_REQUEST * M + _TURNS_BASE
     state = _PackState(reqs, hops, store_cap, fwd_cap)
-    raw = np.zeros(M)
+    raw = [0.0] * M
     routes: list[list[tuple[float, GridPath]]] = [[] for _ in range(M)]
 
     turns = 0
@@ -475,25 +397,25 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
         i = active.popleft()
         r = reqs[i]
         g0 = state.gcol0[i]
-        moves = state.open_path(r, g0, state.slack[i])
-        if moves is None:
+        runs = state.open_path(r, g0, state.slack[i])
+        if runs is None:
             continue  # no residual path left; edges only fill, so for good
         # quantum: bounded by the residual along the path and the demand
-        quantum = state.route(r.a, g0, moves, 1.0 - raw[i])
+        quantum = state.route(g0, runs, 1.0 - raw[i])
         if quantum > 0.0:
+            moves = "s".join("f" * (r1 - r0) for r0, r1 in runs)
             routes[i].append((quantum, GridPath(r.a, g0 + state.off, moves)))
         raw[i] += quantum
         if raw[i] < 1.0 - 1e-12:
             active.append(i)
 
     # the pairwise sum of numpy, which the golden traces pin to the last bit
-    primal = float(raw.sum())
+    primal = float(np.array(raw).sum())
     dual_bound = max(primal, min(float(M), origin_cut(reqs, store_cap, fwd_cap)))
     cert_gap = 0.0 if dual_bound <= 0 else max(0.0, 1.0 - primal / dual_bound)
-    flows = tuple(SingleFlow(request=r, amount=float(min(raw[i], 1.0)),
-                             paths=tuple((float(q), p) for q, p in routes[i]))
+    flows = tuple(SingleFlow(request=r, amount=min(raw[i], 1.0), paths=tuple(routes[i]))
                   for i, r in enumerate(reqs))
-    return FractionalMCF(flows, dual_bound, float(state.congestion), cert_gap,
+    return FractionalMCF(flows, dual_bound, state.congestion, cert_gap,
                          0, budget_out, cert_gap <= eps + 1e-12)
 
 

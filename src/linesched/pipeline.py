@@ -130,21 +130,21 @@ class StageTrace:
 # ---------------------------------------------------------------------------
 # Stage: congestion filter on the tile graph.
 
-def filter_congested(paths: Mapping[int, GridPath], tiling: Tiling,
-                     threshold: float) -> tuple[int, ...]:
-    """Ids whose whole tile-graph projection stays at or below threshold.
+def filter_congested(paths: Mapping[int, GridPath], tiling: Tiling, threshold: float,
+                     ) -> dict[int, tuple[tuple[int, int], ...]]:
+    """Sketches of the requests whose whole tile-graph projection stays at
+    or below threshold, by id in ascending order.
 
     Loads count every input request, including ones that are themselves
     dropped, so survival of request i never depends on the fate of others.
     """
     sketches = {rid: project(paths[rid], tiling) for rid in paths}
     load: dict[tuple[tuple[int, int], tuple[int, int]], int] = defaultdict(int)
-    for rid, sk in sketches.items():
+    for sk in sketches.values():
         for a, b in zip(sk, sk[1:]):
             load[(a, b)] += 1
-    kept = [rid for rid, sk in sketches.items()
-            if all(load[(a, b)] <= threshold for a, b in zip(sk, sk[1:]))]
-    return tuple(sorted(kept))
+    return {rid: sk for rid, sk in sorted(sketches.items())
+            if all(load[(a, b)] <= threshold for a, b in zip(sk, sk[1:]))}
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +325,12 @@ def run_medium_long(requests: Sequence[PacketRequest], n: int,
                                params.seed)
     trace.rounded = tuple(sorted(rounded))
 
-    kept = filter_congested(rounded, tiling, params.filter_threshold)
-    trace.filtered = kept
-    sketches = {rid: project(rounded[rid], tiling) for rid in kept}
+    sketches = filter_congested(rounded, tiling, params.filter_threshold)
+    trace.filtered = tuple(sketches)
 
     req_by_id = {r.id: r for r in servable}
     by_tile: dict[tuple[int, int], dict[int, tuple[int, int]]] = defaultdict(dict)
-    for rid in kept:
+    for rid in sketches:
         origin = request_origin(req_by_id[rid])
         by_tile[tiling.tile_of(*origin)][rid] = origin
     survivors: dict[int, tuple[GridPath, str]] = {}

@@ -5,6 +5,26 @@ Two subproblems of the medium/long pipeline, each solved exactly on its own:
 to the quadrant's top and right edges by a max-flow, and ``route_crossbar``
 carries requests across one quadrant on edge-disjoint one-bend paths.
 ``oracle`` checks both against brute force.
+
+The max flow is Dinic's (1970) on the quadrant's grid itself, with no graph
+built: flat per-cell lists hold the flow on each cell's unit up and right
+edges, per-column and per-row lists the flow through the top and right exit
+slots, and a per-origin-cell list the flow from the source.  A residual arc
+is then a lookup.  The search order is that of an adjacency-list Dinic whose
+source arcs follow the origins' first appearance and whose cells list their
+arcs as: the reverse of the up edge in from ``(i-1, j)``, up out, the
+reverse of the right edge in from ``(i, j-1)``, right out, the top slot
+(row ``half-1``) and the right slot (column ``half-1``).  A cell's DFS
+pointer moves on only when an arc fails, so the flow, and the paths the
+stripping reads off it, are that Dinic's.  Cells no origin reaches never
+take a level or flow, so they need no pruning.
+
+Each BFS stops once the sink has a level ``L``.  The cells it has not
+reached by then would get levels of ``L`` or more, and no such cell lies on
+a path of rising levels to the sink, whose level is ``L``; the DFS would
+only try them and fail.  So the stop takes the same arcs.  The last BFS
+reaches no sink and runs to the end: its cells are the source side of a min
+cut, whose capacity is checked against the flow.
 """
 
 from __future__ import annotations
@@ -13,7 +33,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping
 
-from .flow import MaxFlow
 from .grid import GridPath
 from .model import SolverInvariantError
 
@@ -51,74 +70,146 @@ def quadrant_route(origins: Mapping[int, tuple[int, int]],
         if not (0 <= r - row0 < half and 0 <= c - col0 < half):
             raise ValueError(f"origin of request {rid} outside quadrant window")
 
-    def node(i: int, j: int) -> int:
-        return 1 + i * half + j
-
-    source, sink = 0, 1 + half * half
-    net = MaxFlow(2 + half * half)
-
-    by_cell: dict[tuple[int, int], list[int]] = defaultdict(list)
+    # cell (i, j) is u = i * half + j, and the sink is u = size
+    by_cell: dict[int, list[int]] = defaultdict(list)
     for rid, (r, c) in origins.items():
-        by_cell[(r - row0, c - col0)].append(rid)
-    cell_handle = {cell: net.add_edge(source, node(*cell), len(ids))
-                   for cell, ids in by_cell.items()}
+        by_cell[(r - row0) * half + c - col0].append(rid)
+    cells = list(by_cell)           # the source arcs, in insertion order
+    supply = [len(by_cell[u]) for u in cells]
+    fed = [0] * len(cells)          # flow on each source arc
+    size, last = half * half, half - 1
+    up = [0] * size                 # flow on u -> u + half
+    right = [0] * size              # flow on u -> u + 1
+    top = [0] * half                # flow out of (last, j) through its top slot
+    exit_right = [0] * half         # flow out of (i, last) through its right slot
 
-    # only cells up and right of some origin can carry flow: cell (i, j)
-    # is reachable when j >= first[i], the leftmost origin column in rows
-    # <= i (half when there is none).  Edges out of the other cells would
-    # never carry flow, and their reverse entries keep capacity 0, so
-    # leaving them out changes neither Dinic's search order nor the flow.
-    first = [half] * half
-    for (i, j) in by_cell:
-        first[i] = min(first[i], j)
-    for i in range(1, half):
-        first[i] = min(first[i], first[i - 1])
+    def levels() -> list[int]:
+        """BFS levels in the residual grid, -1 where unreached, stopping
+        once the sink has one."""
+        level = [-1] * (size + 1)
+        queue = [u for u, f, s in zip(cells, fed, supply) if f < s]
+        for u in queue:
+            level[u] = 1
+        for u in queue:
+            i, j = divmod(u, half)
+            lv = level[u] + 1
+            if (i == last and not top[j]) or (j == last and not exit_right[i]):
+                level[size] = lv
+                break
+            if i and up[u - half] and level[u - half] < 0:
+                level[u - half] = lv
+                queue.append(u - half)
+            if i < last and not up[u] and level[u + half] < 0:
+                level[u + half] = lv
+                queue.append(u + half)
+            if j and right[u - 1] and level[u - 1] < 0:
+                level[u - 1] = lv
+                queue.append(u - 1)
+            if j < last and not right[u] and level[u + 1] < 0:
+                level[u + 1] = lv
+                queue.append(u + 1)
+        return level
 
-    up_handle = {(i, j): net.add_edge(node(i, j), node(i + 1, j), 1)
-                 for i in range(half - 1) for j in range(first[i], half)}
-    right_handle = {(i, j): net.add_edge(node(i, j), node(i, j + 1), 1)
-                    for i in range(half) for j in range(first[i], half - 1)}
-    top_handle = {j: net.add_edge(node(half - 1, j), sink, 1)
-                  for j in range(first[half - 1], half)}
-    right_slot_handle = {i: net.add_edge(node(i, half - 1), sink, 1)
-                         for i in range(half) if first[i] < half}
+    def augment(start: int, level: list[int], it: list[int]) -> bool:
+        """Push one unit from ``start`` to the sink along rising levels,
+        each cell trying its arcs from ``it[u]`` on (module docstring)."""
+        path = [start]
+        while path:
+            u = path[-1]
+            i, j = divmod(u, half)
+            want = level[u] + 1
+            k = it[u]
+            while k < 6:
+                if k == 0:
+                    v = u - half if i and up[u - half] else -1
+                elif k == 1:
+                    v = u + half if i < last and not up[u] else -1
+                elif k == 2:
+                    v = u - 1 if j and right[u - 1] else -1
+                elif k == 3:
+                    v = u + 1 if j < last and not right[u] else -1
+                elif k == 4:
+                    v = size if i == last and not top[j] else -1
+                else:
+                    v = size if j == last and not exit_right[i] else -1
+                if v >= 0 and level[v] == want:
+                    break
+                k += 1
+            it[u] = k
+            if k == 6:  # a dead end: its parent's arc fails
+                path.pop()
+                if path:
+                    it[path[-1]] += 1
+            elif v < size:
+                path.append(v)
+            else:
+                for w in path:  # each cell's arc at its pointer
+                    k = it[w]
+                    if k == 0:
+                        up[w - half] = 0
+                    elif k == 1:
+                        up[w] = 1
+                    elif k == 2:
+                        right[w - 1] = 0
+                    elif k == 3:
+                        right[w] = 1
+                    elif k == 4:
+                        top[w - last * half] = 1
+                    else:
+                        exit_right[w // half] = 1
+                return True
+        return False
 
-    net.max_flow(source, sink)
+    while (level := levels())[size] > 0:
+        it = [0] * size
+        x = 0
+        while x < len(cells):
+            if fed[x] < supply[x] and augment(cells[x], level, it):
+                fed[x] += 1
+            else:
+                x += 1
 
-    residual = {h: net.flow_on(h) for h in
-                list(up_handle.values()) + list(right_handle.values())
-                + list(top_handle.values()) + list(right_slot_handle.values())}
+    # the last BFS reached no sink, so its cells are the source side of a
+    # min cut, whose capacity must equal the flow
+    cut = sum(s for u, s in zip(cells, supply) if level[u] < 0)
+    for u in range(size):
+        if level[u] >= 0:
+            i, j = divmod(u, half)
+            cut += ((i == last) + (j == last) + (i < last and level[u + half] < 0)
+                    + (j < last and level[u + 1] < 0))
+    if cut != sum(fed):
+        raise SolverInvariantError(f"max-flow/min-cut mismatch: {sum(fed)} vs {cut}")
 
-    def strip(cell: tuple[int, int]) -> tuple[str, str]:
-        """Follow one unit of flow from cell to an exit slot."""
-        i, j = cell
+    def strip(u: int) -> tuple[str, str]:
+        """Follow one unit of flow from cell u to an exit slot."""
+        i, j = divmod(u, half)
         moves: list[str] = []
         while True:
-            if i == half - 1 and residual.get(top_handle.get(j), 0) > 0:
-                residual[top_handle[j]] -= 1
+            if i == last and top[j]:
+                top[j] -= 1
                 return "".join(moves), "top"
-            if j == half - 1 and residual.get(right_slot_handle.get(i), 0) > 0:
-                residual[right_slot_handle[i]] -= 1
+            if j == last and exit_right[i]:
+                exit_right[i] -= 1
                 return "".join(moves), "right"
-            if residual.get(up_handle.get((i, j)), 0) > 0:
-                residual[up_handle[(i, j)]] -= 1
+            if up[u]:
+                up[u] -= 1
                 moves.append("f")
-                i += 1
-            elif residual.get(right_handle.get((i, j)), 0) > 0:
-                residual[right_handle[(i, j)]] -= 1
+                i, u = i + 1, u + half
+            elif right[u]:
+                right[u] -= 1
                 moves.append("s")
-                j += 1
+                j, u = j + 1, u + 1
             else:
                 raise SolverInvariantError("flow conservation broken during stripping")
 
     accepted: dict[int, tuple[GridPath, str]] = {}
     rejected: list[int] = []
-    for cell in sorted(by_cell):
-        ids = sorted(by_cell[cell])
-        routable = net.flow_on(cell_handle[cell])
+    for u, routable in sorted(zip(cells, fed)):
+        ids = sorted(by_cell[u])
+        i, j = divmod(u, half)
         for rid in ids[:routable]:
-            moves, side = strip(cell)
-            accepted[rid] = (GridPath(row0 + cell[0], col0 + cell[1], moves), side)
+            moves, side = strip(u)
+            accepted[rid] = (GridPath(row0 + i, col0 + j, moves), side)
         rejected.extend(ids[routable:])
 
     side_dropped: list[int] = []
@@ -192,18 +283,18 @@ def route_crossbar(problem: CrossbarProblem) -> dict[int, GridPath]:
     if not problem.side_counts_fit():
         raise ValueError("exit side counts exceed quadrant side lengths")
     rows, cols = problem.rows, problem.cols
-    straight_up = sorted(e.offset for e in problem.entries
-                         if e.side == "bottom" and e.exit_side == "top")
-    straight_right = sorted(e.offset for e in problem.entries
-                            if e.side == "left" and e.exit_side == "right")
+    straight_up = {e.offset for e in problem.entries
+                   if e.side == "bottom" and e.exit_side == "top"}
+    straight_right = {e.offset for e in problem.entries
+                      if e.side == "left" and e.exit_side == "right"}
     lts = sorted((e for e in problem.entries
                   if e.side == "left" and e.exit_side == "top"),
                  key=lambda e: e.offset)
     brs = sorted((e for e in problem.entries
                   if e.side == "bottom" and e.exit_side == "right"),
                  key=lambda e: e.offset)
-    free_cols = [c for c in range(cols) if c not in set(straight_up)]
-    free_rows = [r for r in range(rows) if r not in set(straight_right)]
+    free_cols = [c for c in range(cols) if c not in straight_up]
+    free_rows = [r for r in range(rows) if r not in straight_right]
 
     lt_col: dict[int, int] = {}   # lt offset -> assigned column
     br_row: dict[int, int] = {}   # br offset -> assigned row

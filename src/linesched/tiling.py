@@ -89,10 +89,26 @@ def partition_classes(requests: Iterable[PacketRequest],
 
 
 def project(path: GridPath, tiling: Tiling) -> tuple[tuple[int, int], ...]:
-    """Tile sequence the path visits, consecutive duplicates collapsed."""
-    sketch: list[tuple[int, int]] = []
-    for row, col in path.cells():
-        tile = tiling.tile_of(row, col)
-        if not sketch or sketch[-1] != tile:
-            sketch.append(tile)
+    """Tile sequence the path visits, consecutive duplicates collapsed.
+
+    Walked a forward run at a time (``moves.split("s")``), in coordinates
+    less the shifts: a run from row ``r`` of length ``L`` enters one new
+    tile per row-tile index in ``(r // k, (r + L) // k]``, and the store
+    before the next run enters a new tile exactly when its new column is a
+    multiple of ``k``.
+    """
+    k = tiling.k
+    row, col = path.row - tiling.phi_row, path.col - tiling.phi_col
+    i, j = row // k, col // k
+    sketch = [(i, j)]
+    for n, run in enumerate(path.moves.split("s")):
+        if n:  # the store into this run's column
+            col += 1
+            if col % k == 0:
+                j += 1
+                sketch.append((i, j))
+        row += len(run)
+        while i < row // k:
+            i += 1
+            sketch.append((i, j))
     return tuple(sketch)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from linesched import flow, pipeline
 from linesched.flow import (
     FractionalMCF,
-    MaxFlow,
     SingleFlow,
     max_throughput_mcf,
     origin_cut,
@@ -22,61 +21,6 @@ from linesched.model import (PacketRequest, capacity_scale, gen_random_instance,
                              request_rng)
 from linesched.oracle import fractional_optimum
 
-
-
-# ---------------------------------------------------------------------------
-# Dinic.
-
-def test_dinic_textbook_graph():
-    g = MaxFlow(6)
-    g.add_edge(0, 1, 16)
-    g.add_edge(0, 2, 13)
-    g.add_edge(1, 2, 10)
-    g.add_edge(2, 1, 4)
-    g.add_edge(1, 3, 12)
-    g.add_edge(3, 2, 9)
-    g.add_edge(2, 4, 14)
-    g.add_edge(4, 3, 7)
-    g.add_edge(3, 5, 20)
-    g.add_edge(4, 5, 4)
-    assert g.max_flow(0, 5) == 23
-
-
-def test_dinic_bipartite_matching():
-    # source 0, left {1,2,3}, right {4,5,6}, sink 7, complete middle
-    g = MaxFlow(8)
-    for u in (1, 2, 3):
-        g.add_edge(0, u, 1)
-        for v in (4, 5, 6):
-            g.add_edge(u, v, 1)
-    for v in (4, 5, 6):
-        g.add_edge(v, 7, 1)
-    assert g.max_flow(0, 7) == 3
-
-
-def test_dinic_flow_handles_and_cut():
-    g = MaxFlow(4)
-    e1 = g.add_edge(0, 1, 2)
-    e2 = g.add_edge(0, 2, 2)
-    e3 = g.add_edge(1, 3, 1)
-    e4 = g.add_edge(2, 3, 3)
-    assert g.max_flow(0, 3) == 3
-    assert g.flow_on(e1) == 1
-    assert g.flow_on(e2) == 2
-    assert g.flow_on(e3) == 1
-    assert g.flow_on(e4) == 2
-    side = g.residual_reachable(0)
-    assert 0 in side and 3 not in side
-
-
-def test_dinic_zero_and_errors():
-    g = MaxFlow(3)
-    g.add_edge(0, 1, 5)
-    assert g.max_flow(0, 2) == 0
-    with pytest.raises(ValueError):
-        g.add_edge(0, 1, -1)
-    with pytest.raises(ValueError):
-        g.max_flow(1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +188,26 @@ def window_paths(d: int, s: int):
             yield "".join(moves) + "f"
 
 
+def moves_of(runs: list[tuple[int, int]]) -> str:
+    """A window path's moves from its forward run in each column."""
+    return "s".join("f" * (r1 - r0) for r0, r1 in runs)
+
+
+def runs_of(row: int, moves: str) -> list[tuple[int, int]]:
+    """A path's forward run in each column, ``(first row, end row)``, from
+    its first row and its moves."""
+    runs = []
+    for run in moves.split("s"):
+        runs.append((row, row + len(run)))
+        row += len(run)
+    return runs
+
+
+def route_moves(state, row: int, col: int, moves: str, demand: float) -> float:
+    """``_PackState.route`` on a path given by its first cell and moves."""
+    return state.route(col, runs_of(row, moves), demand)
+
+
 def is_open(bits, req: PacketRequest, g0: int, moves: str) -> bool:
     row, col = req.a, g0
     for mv in moves:
@@ -253,11 +217,14 @@ def is_open(bits, req: PacketRequest, g0: int, moves: str) -> bool:
     return True
 
 
-def brute_force_path(state, req: PacketRequest, g0: int, s: int) -> str | None:
-    """The fewest-store open path by enumeration; among those, the walk
-    back goes forward before store, so the reversed moves are least."""
+def brute_force_path(state, req: PacketRequest, g0: int,
+                     s: int) -> list[tuple[int, int]] | None:
+    """The fewest-store open path by enumeration, as its runs; among those,
+    the walk back goes forward before store, so the reversed moves are
+    least."""
     paths = [m for m in window_paths(req.distance, s) if is_open(state.open, req, g0, m)]
-    return min(paths, key=lambda m: (m.count("s"), m[::-1]), default=None)
+    best = min(paths, key=lambda m: (m.count("s"), m[::-1]), default=None)
+    return None if best is None else runs_of(req.a, best)
 
 
 @st.composite
@@ -288,9 +255,11 @@ def test_open_path_is_the_brute_force_fewest_store_path(window):
     want = brute_force_path(state, req, g0, s)
     assert (got is None) == (want is None)
     if got is not None:
-        assert got.count("f") == req.distance and got[-1] == "f"
-        assert got.count("s") <= s
-        assert is_open(state.open, req, g0, got)
+        moves = moves_of(got)
+        assert got == runs_of(req.a, moves)
+        assert moves.count("f") == req.distance and moves[-1] == "f"
+        assert moves.count("s") <= s
+        assert is_open(state.open, req, g0, moves)
         assert got == want
 
 
@@ -320,9 +289,9 @@ def keeping_states():
             self.calls = []
             states.append(self)
 
-        def route(self, row, col, moves, demand):
-            quantum = super().route(row, col, moves, demand)
-            self.calls.append((row, col, moves, quantum))
+        def route(self, col, runs, demand):
+            quantum = super().route(col, runs, demand)
+            self.calls.append((runs[0][0], col, moves_of(runs), quantum))
             return quantum
 
     with pytest.MonkeyPatch.context() as mp:
@@ -451,13 +420,13 @@ def test_precheck_on_hand_built_windows():
     # paths ff, sff and fsf
     req = PacketRequest(0, 0, 2, 0)
     state = flow._PackState([req], [3], 1.0, 1.0)
-    assert state.open_path(req, 0, 1) == "ff"
+    assert state.open_path(req, 0, 1) == runs_of(0, "ff")
     for row, col in ((1, 0), (0, 1)):
-        assert state.route(row, col, "f", 1.0) == 1.0
+        assert route_moves(state, row, col, "f", 1.0) == 1.0
     # only fsf is left: a store detour around the saturated forward edge (1, 0)
-    assert state.open_path(req, 0, 1) == "fsf"
+    assert state.open_path(req, 0, 1) == runs_of(0, "fsf") == [(0, 1), (1, 2)]
     # with every forward edge out of row 1 saturated, nothing is left
-    state.route(1, 1, "f", 1.0)
+    route_moves(state, 1, 1, "f", 1.0)
     assert state.open_path(req, 0, 1) is None
 
 
@@ -470,23 +439,23 @@ def test_straight_path_shortcut_on_hand_built_windows():
     def fresh():
         return flow._PackState([req], [4], 1.0, 1.0)
 
-    assert fresh().open_path(req, 0, 1) == "fff"
+    assert fresh().open_path(req, 0, 1) == runs_of(0, "fff")
     # a saturated store in row a+1 leaves the straight path open
     state = fresh()
-    assert state.route(1, 0, "s", 1.0) == 1.0
-    assert state.open_path(req, 0, 1) == "fff"
+    assert route_moves(state, 1, 0, "s", 1.0) == 1.0
+    assert state.open_path(req, 0, 1) == runs_of(0, "fff")
     # a loaded but open forward edge still counts as open
     state = fresh()
-    assert state.route(1, 0, "f", 0.5) == 0.5
-    assert state.open_path(req, 0, 1) == "fff"
+    assert route_moves(state, 1, 0, "f", 0.5) == 0.5
+    assert state.open_path(req, 0, 1) == runs_of(0, "fff")
     # one store is needed, and sfff, fsff and ffsf all take one: walking
     # back forward before store puts it first
     state = fresh()
-    assert state.route(2, 0, "f", 1.0) == 1.0
-    assert state.open_path(req, 0, 1) == "sfff"
+    assert route_moves(state, 2, 0, "f", 1.0) == 1.0
+    assert state.open_path(req, 0, 1) == runs_of(0, "sfff")
     # with store (0, 0) saturated too, the store moves down a row
-    assert state.route(0, 0, "s", 1.0) == 1.0
-    assert state.open_path(req, 0, 1) == "fsff"
+    assert route_moves(state, 0, 0, "s", 1.0) == 1.0
+    assert state.open_path(req, 0, 1) == runs_of(0, "fsff")
 
 
 class Booked:
@@ -503,7 +472,7 @@ class Booked:
         state, loads = self.state, self.loads
         path = list(GridPath(row, g0, moves).edges())
         is_open = all(state.open[k][c] >> r & 1 for k, r, c in path)
-        quantum = state.route(row, g0, moves, demand)
+        quantum = route_moves(state, row, g0, moves, demand)
         if not is_open:
             assert quantum == 0.0  # a closed edge has no residual
         else:
@@ -563,9 +532,10 @@ def solve_recording_routes(*args) -> tuple[FractionalMCF, list]:
             self.req_id = req.id
             return super().open_path(req, g0, s)
 
-        def route(self, row, col, moves, demand):
-            quantum = super().route(row, col, moves, demand)
-            keys = [(k, r, c + self.off) for k, r, c in GridPath(row, col, moves).edges()]
+        def route(self, col, runs, demand):
+            quantum = super().route(col, runs, demand)
+            path = GridPath(runs[0][0], col, moves_of(runs))
+            keys = [(k, r, c + self.off) for k, r, c in path.edges()]
             calls.append((self.req_id, quantum, keys if quantum > 0.0 else []))
             return quantum
 

@@ -61,21 +61,23 @@ def test_filter_counts_every_input_request():
     shared[3] = GridPath(0, 0, "s")                           # stays in its tile
     kept = filter_congested(shared, tiling, threshold=2.0)
     # the shared tile edge carries 3 > 2, so all three users fall, and the
-    # load is counted over all rounded requests, not over survivors
-    assert kept == (3,)
+    # load is counted over all rounded requests, not over survivors; the
+    # survivor comes back with its sketch
+    assert kept == {3: ((0, 0),)}
 
 
 def test_filter_keeps_single_tile_paths():
     tiling = Tiling(6)
     paths = {7: GridPath(1, 1, "sf"), 8: GridPath(2, 2, "f")}
-    assert filter_congested(paths, tiling, threshold=0.0) == (7, 8)
+    assert tuple(filter_congested(paths, tiling, threshold=0.0)) == (7, 8)
 
 
 def test_filter_threshold_is_inclusive():
     tiling = Tiling(6)
     paths = {i: GridPath(0, 5, "s") for i in range(2)}
-    assert filter_congested(paths, tiling, threshold=2.0) == (0, 1)
-    assert filter_congested(paths, tiling, threshold=1.9) == ()
+    assert filter_congested(paths, tiling, threshold=2.0) == {
+        i: project(paths[i], tiling) for i in (0, 1)}
+    assert filter_congested(paths, tiling, threshold=1.9) == {}
 
 
 # ---------------------------------------------------------------------------

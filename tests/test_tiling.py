@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linesched.grid import GridPath, request_origin
@@ -117,3 +117,30 @@ def test_project_length_bound(row, col, moves, k, shift):
     assert len(sketch) - 1 <= math.ceil(len(path) / k) + 1
     for (i0, j0), (i1, j1) in zip(sketch, sketch[1:]):
         assert i1 >= i0 and j1 >= j0 and (i1 > i0 or j1 > j0)
+
+
+def project_cell_by_cell(path: GridPath, tiling: Tiling) -> tuple[tuple[int, int], ...]:
+    """Reference: the tile of every cell of the path, repeats collapsed."""
+    sketch: list[tuple[int, int]] = []
+    for row, col in path.cells():
+        tile = tiling.tile_of(row, col)
+        if not sketch or sketch[-1] != tile:
+            sketch.append(tile)
+    return tuple(sketch)
+
+
+@settings(max_examples=500)
+@given(
+    row=st.integers(-50, 50),
+    col=st.integers(-50, 50),
+    moves=st.text(alphabet="sf", max_size=80),
+    k=st.integers(2, 18).map(lambda h: 2 * h),
+    shift=st.integers(0, 3),
+)
+@example(row=-1, col=-1, moves="", k=4, shift=0)
+@example(row=-7, col=-13, moves="f" * 40 + "s" * 40, k=36, shift=3)
+@example(row=5, col=5, moves="sfsfsfsf", k=6, shift=3)
+def test_project_by_runs_matches_the_cell_walk(row, col, moves, k, shift):
+    tiling = Tiling(k, *shift_pairs(k)[shift])
+    path = GridPath(row, col, moves)
+    assert project(path, tiling) == project_cell_by_cell(path, tiling)
