@@ -5,9 +5,9 @@ request may split its unit of demand over many grid paths as long as edge
 loads stay within capacity.  ``max_throughput_mcf`` returns each request's
 flow as the weighted paths it routed, plus a dual bound that upper-bounds
 any schedule: the origin cut, since no cell sends out more than its store
-and forward capacity.  ``eps`` only sets the gap under which the solve
-counts as certified.  Rounding then makes one accept/reject coin per
-request (probability = routed amount) and, on accept, picks one of those
+and forward capacity.  ``cert_gap`` is how far the routed amount falls
+short of that bound, as a share of it.  Rounding then makes one
+accept/reject coin per request (probability = routed amount) and, on accept, picks one of those
 paths with probability proportional to its weight, so the chance any edge
 ends up used equals exactly the fractional load on it.
 
@@ -23,12 +23,11 @@ from linesched import PacketRequest, max_throughput_mcf, randomized_round
 requests = tuple(PacketRequest(i, a=i % 3, b=i % 3 + 3, t=1 + i % 2)
                  for i in range(6))
 mcf = max_throughput_mcf(requests, n=8, store_cap=0.75, fwd_cap=0.75,
-                         hop_bounds={r.id: r.distance + 6 for r in requests},
-                         eps=0.3)
+                         hop_bounds={r.id: r.distance + 6 for r in requests})
 
 print(f"routed {mcf.throughput:.3f} of {len(requests)} requests "
       f"fractionally, dual bound {mcf.dual_bound:.3f}, "
-      f"certified={mcf.certified}")
+      f"cert_gap {mcf.cert_gap:.3f}")
 print("amounts:", " ".join(f"{f.request.id}:{f.amount:.2f}"
                            for f in mcf.flows))
 

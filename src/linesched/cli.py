@@ -33,7 +33,6 @@ _RUN_DEFAULTS = {
     "arrival_rate": 1.0,
     "distance": "uniform",
     "deadline_slack": None,
-    "eps_gk": 0.05,
     "category": "auto",
 }
 
@@ -56,8 +55,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
-    packing, report = solve_instance(
-        inst, seed=args.seed, eps=args.eps_gk, category=args.category)
+    packing, report = solve_instance(inst, seed=args.seed, category=args.category)
     schedule = packing_to_schedule(inst, packing)
     verdict = validate_schedule(inst, schedule)
     if not verdict.ok:
@@ -92,7 +90,7 @@ class ConfigError(ValueError):
 _INT, _NUM, _STR = (int, "an integer"), ((int, float), "a number"), (str, "a string")
 _RUN_TYPES = {"n": _INT, "M": _INT, "B": _INT, "c": _INT, "arrival_rate": _NUM,
               "distance": _STR, "deadline_slack": ((int, type(None)), "an integer or null"),
-              "eps_gk": _NUM, "category": _STR}
+              "category": _STR}
 
 
 def _is_type(value, kind) -> bool:
@@ -146,8 +144,6 @@ def _check_run_values(run: dict) -> None:
     check_generator_args(run["n"], run["M"], run["arrival_rate"], run["distance"])
     if run["category"] not in CATEGORY_CHOICES:
         raise ValueError(f"unknown category {run['category']!r}")
-    if not 0 < run["eps_gk"] < 1:
-        raise ValueError(f"eps_gk must be in (0, 1), got {run['eps_gk']}")
 
 
 def _bench_row(run: dict, seed: int) -> dict[str, object]:
@@ -155,8 +151,7 @@ def _bench_row(run: dict, seed: int) -> dict[str, object]:
         run["n"], run["B"], run["c"], run["M"],
         arrival_rate=run["arrival_rate"], distance=run["distance"],
         seed=seed, deadline_slack=run["deadline_slack"])
-    _, report = solve_instance(
-        inst, seed=seed, eps=run["eps_gk"], category=run["category"])
+    _, report = solve_instance(inst, seed=seed, category=run["category"])
     alg = report.throughput
     fb = report.frac_bound
     trace = report.traces.get(report.category)
@@ -231,10 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="solve an instance")
     s.add_argument("instance", help="instance file")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--eps-gk", type=float, default=0.05,
-                   help="fractional solver's eps: sets only the gap between "
-                        "its flow and its origin-cut bound under which a "
-                        "solve counts as certified; the packing ignores it")
     s.add_argument("--category", default="auto",
                    choices=CATEGORY_CHOICES,
                    help="run one band, or every nonempty band and keep the best (auto)")

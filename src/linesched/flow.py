@@ -56,8 +56,9 @@ fill the partial map; their flow stays feasible.
 
 The dual bound is ``min(M, origin_cut)``, the request count and the origin
 cut, each of which bounds the fractional optimum, raised to the primal if
-float rounding ever puts the primal above it.  ``eps`` sets only the gap
-under which a solve counts as certified.
+float rounding ever puts the primal above it.  The primal is the one sum
+``FractionalMCF.throughput`` reports, so ``cert_gap`` compares the bound
+with that very number.
 """
 
 from __future__ import annotations
@@ -66,8 +67,6 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .grid import GridPath, request_origin
 from .model import PacketRequest, request_rng
@@ -111,8 +110,9 @@ class SingleFlow:
 
 @dataclass(frozen=True)
 class FractionalMCF:
-    """What ``max_throughput_mcf`` found.  ``dp_count`` is always 0: no
-    solve runs a cheapest-path DP, and the field stays because
+    """What ``max_throughput_mcf`` found.  ``cert_gap`` is
+    ``1 - throughput / dual_bound``.  ``dp_count`` is always 0: no solve
+    runs a cheapest-path DP, and the field stays because
     ``perfbench/layers.py`` reads it."""
 
     flows: tuple[SingleFlow, ...]
@@ -121,7 +121,6 @@ class FractionalMCF:
     cert_gap: float
     dp_count: int
     budget_exhausted: bool
-    certified: bool
 
     @property
     def throughput(self) -> float:
@@ -129,6 +128,7 @@ class FractionalMCF:
 
 
 _SATURATED = 1e-12     # residual below cap * this counts as full
+DUST = 1e-12           # a flow amount at or below this carries nothing
 
 # the packing loop stops after this many turns
 _TURNS_PER_REQUEST, _TURNS_BASE = 12, 2000
@@ -345,8 +345,7 @@ def origin_cut(requests: Iterable[PacketRequest], store_cap: float,
 
 def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
                        store_cap: float, fwd_cap: float,
-                       hop_bounds: Mapping[int, int], *,
-                       eps: float = 0.05) -> FractionalMCF:
+                       hop_bounds: Mapping[int, int]) -> FractionalMCF:
     """Fractionally accept as many requests as possible.
 
     Maximizes ``sum_i |f_i|`` subject to: at most ``store_cap`` total flow on
@@ -356,10 +355,9 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
 
     The returned flow respects all capacities exactly (no rescaling step).
     ``dual_bound`` is ``min(M, origin_cut)``, a true upper bound on the
-    fractional optimum, raised to the primal where float rounding puts the
-    primal above it; ``cert_gap`` is the relative gap between the two, and
-    ``certified`` says whether it came in under ``eps``, which sets nothing
-    else.  Routing stops after ``12 M + 2000`` packing turns
+    fractional optimum, raised to ``throughput`` where float rounding puts
+    that sum above it; ``cert_gap`` is the relative gap between the two.
+    Routing stops after ``12 M + 2000`` packing turns
     (``budget_exhausted``); each turn routes the fewest-store open path of
     its window (module docstring).  ``congestion`` is the largest edge load
     over its capacity, and ``dp_count`` is always 0.  Every destination must
@@ -367,12 +365,10 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
     """
     if store_cap <= 0 or fwd_cap <= 0:
         raise ValueError("capacities must be positive")
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0, 1)")
     reqs = sorted(requests, key=lambda r: r.id)
     M = len(reqs)
     if M == 0:
-        return FractionalMCF((), 0.0, 0.0, 0.0, 0, False, True)
+        return FractionalMCF((), 0.0, 0.0, 0.0, 0, False)
     if len({r.id for r in reqs}) != M:
         raise ValueError("duplicate request ids")
     hops = [hop_bounds[r.id] for r in reqs]
@@ -409,21 +405,19 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
         if raw[i] < 1.0 - 1e-12:
             active.append(i)
 
-    # the pairwise sum of numpy, which the golden traces pin to the last bit
-    primal = float(np.array(raw).sum())
-    dual_bound = max(primal, min(float(M), origin_cut(reqs, store_cap, fwd_cap)))
-    cert_gap = 0.0 if dual_bound <= 0 else max(0.0, 1.0 - primal / dual_bound)
     flows = tuple(SingleFlow(request=r, amount=min(raw[i], 1.0), paths=tuple(routes[i]))
                   for i, r in enumerate(reqs))
+    primal = sum(f.amount for f in flows)
+    dual_bound = max(primal, min(float(M), origin_cut(reqs, store_cap, fwd_cap)))
+    cert_gap = 1.0 - primal / dual_bound
     return FractionalMCF(flows, dual_bound, state.congestion, cert_gap,
-                         0, budget_out, cert_gap <= eps + 1e-12)
+                         0, budget_out)
 
 
 # ---------------------------------------------------------------------------
 # Fractional flow -> one path per request.
 
-def randomized_round(flows: Iterable[SingleFlow], master_seed: int,
-                     tol: float = 1e-12) -> dict[int, GridPath]:
+def randomized_round(flows: Iterable[SingleFlow], master_seed: int) -> dict[int, GridPath]:
     """Round fractional flows to one random path per accepted request.
 
     Every request uses its own random stream (``request_rng``), drawing first
@@ -432,11 +426,12 @@ def randomized_round(flows: Iterable[SingleFlow], master_seed: int,
     route order: a pick from the flow's path decomposition (Raghavan and
     Thompson, Combinatorica 1987), so ``Pr[e on the rounded path] = f_i(e)``
     for each edge e.  Results do not depend on the set or order of other
-    requests.  A positive amount on no path raises ``ValueError``.
+    requests.  An amount at or below ``DUST`` is rejected without a draw; a
+    larger one on no path raises ``ValueError``.
     """
     accepted: dict[int, GridPath] = {}
     for sf in flows:
-        if sf.amount <= tol:
+        if sf.amount <= DUST:
             continue
         if not sf.paths:
             raise ValueError(f"request {sf.request.id}: amount {sf.amount} on no path")

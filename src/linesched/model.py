@@ -50,16 +50,16 @@ class SolverInvariantError(AssertionError):
 # ---------------------------------------------------------------------------
 # Concentration constants.
 
-def chernoff_exponent(eps: float) -> float:
-    """Rate ``(1+eps)*ln(1+eps) - eps`` of the multiplicative Chernoff bound.
+def chernoff_exponent(delta: float) -> float:
+    """Rate ``(1+delta)*ln(1+delta) - delta`` of the multiplicative Chernoff bound.
 
     For a sum X of independent [0,1] variables with mean mu,
-    ``Pr[X >= (1+eps)*mu] <= exp(-mu * chernoff_exponent(eps))`` for eps >= 0.
-    Defined for ``eps > -1``; convex, nonnegative, zero exactly at eps = 0.
+    ``Pr[X >= (1+delta)*mu] <= exp(-mu * chernoff_exponent(delta))`` for delta >= 0.
+    Defined for ``delta > -1``; convex, nonnegative, zero exactly at delta = 0.
     """
-    if eps <= -1.0:
-        raise ValueError(f"chernoff_exponent needs eps > -1, got {eps}")
-    return (1.0 + eps) * math.log1p(eps) - eps
+    if delta <= -1.0:
+        raise ValueError(f"chernoff_exponent needs delta > -1, got {delta}")
+    return (1.0 + delta) * math.log1p(delta) - delta
 
 
 def capacity_scale() -> float:

@@ -39,7 +39,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
-from .flow import max_throughput_mcf, origin_cut, randomized_round
+from .flow import DUST, max_throughput_mcf, origin_cut, randomized_round
 from .grid import GridPath, request_origin
 from .model import (Category, Instance, PacketRequest, SolverInvariantError,
                     Thresholds, capacity_scale, categorize,
@@ -64,10 +64,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PipelineParams:
-    """Knobs for one distance band with maximum distance ``d_max``."""
+    """One distance band's maximum distance ``d_max`` and rounding ``seed``;
+    the tile side, capacity scale, filter threshold and budgets follow from
+    them."""
 
     d_max: float
-    eps: float
     seed: int
 
     def __post_init__(self) -> None:
@@ -110,7 +111,7 @@ class StageTrace:
     class_value: float = 0.0
     fractional_value: float = 0.0
     fractional_bound: float = 0.0
-    certified: bool = False
+    cert_gap: float = 0.0
     rounded: tuple[int, ...] = _ids("R_rnd")
     filtered: tuple[int, ...] = _ids("R_fltr")
     routed: tuple[int, ...] = _ids("R_quad")
@@ -301,12 +302,12 @@ def run_medium_long(requests: Sequence[PacketRequest], n: int,
         return {}, trace
 
     mcf = max_throughput_mcf(servable, n, params.lam * store_cap,
-                             params.lam * fwd_cap, hop_bounds, eps=params.eps)
+                             params.lam * fwd_cap, hop_bounds)
     trace.fractional_value = mcf.throughput
     trace.fractional_bound = mcf.dual_bound
-    trace.certified = mcf.certified
+    trace.cert_gap = mcf.cert_gap
 
-    flows_by_id = {f.request.id: f for f in mcf.flows if f.amount > 1e-15}
+    flows_by_id = {f.request.id: f for f in mcf.flows if f.amount > DUST}
     classes = partition_classes(
         [f.request for f in sorted(flows_by_id.values(), key=lambda f: f.request.id)],
         params.k)
@@ -393,7 +394,6 @@ class SolveReport:
     band_sizes: dict[str, int]
     band_results: dict[str, int]
     traces: dict[str, StageTrace]
-    eps: float
     seed: int
 
 
@@ -410,7 +410,6 @@ def report_to_json(report: SolveReport) -> str:
         "category": report.category,
         "throughput": report.throughput,
         "frac_bound": report.frac_bound,
-        "eps": report.eps,
         "seed": report.seed,
         "band_sizes": report.band_sizes,
         "band_results": report.band_results,
@@ -435,8 +434,7 @@ def fractional_upper_bound(instance: Instance) -> float:
                origin_cut(servable, instance.B, instance.c))
 
 
-def solve_instance(instance: Instance, *, seed: int = 0, eps: float = 0.05,
-                   category: str = "auto",
+def solve_instance(instance: Instance, *, seed: int = 0, category: str = "auto",
                    ) -> tuple[dict[int, GridPath], SolveReport]:
     """Best single-band schedule for the instance.
 
@@ -449,9 +447,6 @@ def solve_instance(instance: Instance, *, seed: int = 0, eps: float = 0.05,
     """
     if category not in CATEGORY_CHOICES:
         raise ValueError(f"unknown category {category!r}")
-    # checked here, not only in a fractional solve, which short bands skip
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
     thr = Thresholds.from_n(instance.n)
     scaled = min(instance.B, instance.c)
     bands: dict[str, list[PacketRequest]] = {cat.value: [] for cat in Category}
@@ -471,7 +466,7 @@ def solve_instance(instance: Instance, *, seed: int = 0, eps: float = 0.05,
                                          instance.B, instance.c)
         else:
             d_max = thr.medium_max if cat is Category.MEDIUM else float(instance.n - 1)
-            params = PipelineParams(d_max, eps=eps, seed=seed)
+            params = PipelineParams(d_max, seed=seed)
             packings[name], traces[name] = run_medium_long(
                 bands[name], instance.n, scaled, scaled, params)
 
@@ -486,7 +481,6 @@ def solve_instance(instance: Instance, *, seed: int = 0, eps: float = 0.05,
         band_sizes={name: len(reqs) for name, reqs in bands.items() if reqs},
         band_results={name: len(p) for name, p in packings.items()},
         traces=traces,
-        eps=eps,
         seed=seed,
     )
     return best, report

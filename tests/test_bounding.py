@@ -303,7 +303,7 @@ def scaled(caps):
 def as_mcf(flows):
     return FractionalMCF(tuple(flows), dual_bound=float(len(flows)),
                          congestion=1.0, cert_gap=0.0, dp_count=0,
-                         budget_exhausted=False, certified=True)
+                         budget_exhausted=False)
 
 
 def test_truncate_fractional_confined_flow_only_scales():
@@ -337,7 +337,7 @@ def solver_mcf(seed, d, caps, m=12, n=10):
         t = int(rng.integers(1, 8))
         reqs.append(PacketRequest(id=i, a=a, b=a + dist, t=t))
     hops = {r.id: r.distance + 3 * d for r in reqs}
-    return max_throughput_mcf(reqs, n, caps[0], caps[1], hops, eps=0.3)
+    return max_throughput_mcf(reqs, n, caps[0], caps[1], hops)
 
 
 @pytest.mark.parametrize("seed,caps", [(0, (0.4, 0.3)), (1, (0.25, 0.25)),

@@ -164,7 +164,7 @@ def test_bench_config_validation(tmp_path, capsys):
     # later run leaves no partial file behind
     for key, value, message in (
             ("category", "foo", "unknown category 'foo'"),
-            ("eps_gk", 1.0, "eps_gk must be in (0, 1)"),
+            ("eps_gk", 0.05, "unknown keys ['eps_gk']"),
             ("distance", "fixed:16", "fixed distance must be in [1, n-1]"),
             ("distance", "zipf", "unknown distance form"),
             ("n", 1, "need at least 2 nodes"),
@@ -188,13 +188,15 @@ def test_eps_is_checked_when_only_short_bands_run(tmp_path, capsys):
     capsys.readouterr()
     trace = json.loads((tmp_path / "sched.json.trace.json").read_text())
     assert trace["stages"] == {}  # no fractional solve ran
-    for eps in ("2", "0", "-1", "nan"):
-        out = tmp_path / f"eps{eps}.json"
-        assert main(["solve", str(inst), "--eps-gk", eps, "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: eps must be in (0, 1)")
-        assert not out.exists()
+    # the solver has no accuracy knob, so the old flag is an unknown option
+    out = tmp_path / "eps.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(inst), "--eps-gk", "0.05", "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --eps-gk 0.05" in captured.err
+    assert not out.exists()
 
 
 def test_solver_invariant_failure_exits_2(tmp_path, capsys, monkeypatch):

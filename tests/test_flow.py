@@ -89,7 +89,7 @@ def test_mcf_tight_hop_bound_forces_direct_path():
 
 
 def check_between_primal_and_lp(mcf: FractionalMCF, reqs, store_cap, fwd_cap, hops):
-    """``throughput <= LP optimum <= dual_bound``, and the certified gap is
+    """``throughput <= LP optimum <= dual_bound``, and ``cert_gap`` is
     at least the true gap to the LP optimum."""
     lp = fractional_optimum(reqs, store_cap, fwd_cap, hops)
     assert mcf.throughput <= lp + 1e-7
@@ -169,11 +169,19 @@ def sweep_inputs(draw):
 # a lone request held to its direct path can leave its origin cell only by
 # the forward edge, which the origin cut, counting the store too, cannot see
 @example(([PacketRequest(0, 0, 1, 0)], 2, 0.5, 0.5, {0: 1}))
+# the primal sits above the cut, and a numpy pairwise sum of the amounts
+# lands one ulp below the sum ``throughput`` reports
+@example(([PacketRequest(i, a, b, t) for i, (a, b, t) in enumerate(
+    [(3, 4, 22), (3, 4, 40), (3, 4, 15), (1, 3, 27), (1, 3, 15), (0, 2, 12),
+     (1, 4, 15), (1, 2, 35)])],
+    5, 0.1931471805599453, 0.1931471805599453,
+    {0: 4, 1: 4, 2: 4, 3: 4, 4: 2, 5: 3, 6: 7, 7: 2}))
 def test_dual_bound_is_the_origin_cut_or_the_primal(inputs):
     reqs, n, store_cap, fwd_cap, hops = inputs
     mcf = max_throughput_mcf(reqs, n, store_cap, fwd_cap, hops)
     cut = min(float(len(reqs)), origin_cut(reqs, store_cap, fwd_cap))
     assert mcf.dual_bound == max(mcf.throughput, cut)
+    assert mcf.throughput <= mcf.dual_bound
     assert mcf.dp_count == 0
 
 

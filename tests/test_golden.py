@@ -68,22 +68,22 @@ GOLDEN_SOLVES = {
     "geometric_deadline_48_80": {
         "stdout": "throughput 24\nfractional_upper_bound 80.000000\n",
         "schedule": "8d239139e883b933a9bafbb4b6f684a087afbd6a1259e602f8fd6c7b1e8b5d0f",
-        "trace": "204311f21e6607a2b03338d99c9d0b9844b9fa0329eeb41ec6a7a40a2c8d7f8b",
+        "trace": "0fdca4acac6161483b17afef0803928d78142b2d554d5056165007e97e024570",
     },
     "uniform_64_150": {
         "stdout": "throughput 5\nfractional_upper_bound 150.000000\n",
         "schedule": "5c69a186d85b846509002790bc44321e1abc74ad607ca04a8a9b9a5e0e1c3baf",
-        "trace": "713b4307efd54b2043271030cf8d8822d5f1967d6813ccaab8c9af297abbfbc3",
+        "trace": "f360e26a51ab0c7dccbe45040e6ce99eb116dec0f54bbd51abfee06ec02b2a81",
     },
     "uniform_64_150_medium": {
         "stdout": "throughput 1\nfractional_upper_bound 150.000000\n",
         "schedule": "7264c3447c24a1142b4cb48c825363d97fdcf61518295cef34e17548ca0fc34d",
-        "trace": "9e3c60a298157f7ae5864a6469fd16268863f089a166d69d1a56837b27ca5933",
+        "trace": "6e1a4479c9225978d084722bde6db24ac8a15caabee631d973224b5635fdea00",
     },
     "uniform_deadline_96_300": {
         "stdout": "throughput 8\nfractional_upper_bound 300.000000\n",
         "schedule": "33b7173f2fbed29165020503a28a186a2746e5d36915f45ac33317d3d80a564b",
-        "trace": "b09e658a032be823376f0cee73b6926f4c6ed6aee198d1c618ebe27a41ef9c20",
+        "trace": "d4f36954f81609b7f9f98ebc4b1d5bedeb789f96d651b74c346b3abb26492628",
     },
 }
 

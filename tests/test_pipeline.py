@@ -29,7 +29,7 @@ from linesched.tiling import Tiling, project
 # Parameters.
 
 def test_params_derive_k_and_lam():
-    p = PipelineParams(16.6, eps=0.05, seed=0)
+    p = PipelineParams(16.6, seed=0)
     assert p.k % 6 == 0 and p.k >= 6
     assert p.k >= 6.0 * math.log(16.6)
     assert p.lam == capacity_scale()
@@ -40,14 +40,14 @@ def test_params_derive_k_and_lam():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        PipelineParams(0.5, eps=0.05, seed=0)
+        PipelineParams(0.5, seed=0)
 
 
 def test_lane_headroom_over_tile_sides():
     # routing headroom: congested-edge crossers plus one quadrant side cap
     # must fit into the half-tile lanes of a pass-through quadrant
     for k in range(6, 601, 6):
-        p = PipelineParams(math.exp(k / 6 - 0.5), eps=0.05, seed=0)
+        p = PipelineParams(math.exp(k / 6 - 0.5), seed=0)
         assert p.k == k
         assert p.filter_threshold + p.side_limit <= p.k // 2, k
 
@@ -199,7 +199,7 @@ def _mk_request(rid: int, origin: tuple[int, int], b: int) -> PacketRequest:
 
 
 def test_route_detailed_terminal_overflow_drops_largest_terminals():
-    params = PipelineParams(400.0, eps=0.05, seed=0)   # k = 36
+    params = PipelineParams(400.0, seed=0)   # k = 36
     h = params.k // 2
     tiling = Tiling(params.k)
     base, up = (0, 0), (1, 0)
@@ -251,7 +251,7 @@ def test_run_medium_long_random_instances_validate():
         inst = gen_random_instance(
             n, 1, 1, 150, seed=seed, distance="uniform",
             deadline_slack=None if seed % 3 else 30)
-        params = PipelineParams(float(n - 1), eps=0.05, seed=seed)
+        params = PipelineParams(float(n - 1), seed=seed)
         packing, trace = run_medium_long(inst.requests, n, 1, 1, params)
         sub = Instance(inst.n, 1, 1, inst.requests)
         schedule = {r.id: "reject" for r in inst.requests}
@@ -264,14 +264,14 @@ def test_run_medium_long_random_instances_validate():
 
 
 def test_run_medium_long_empty_band():
-    params = PipelineParams(10.0, eps=0.05, seed=0)
+    params = PipelineParams(10.0, seed=0)
     packing, trace = run_medium_long([], 32, 1, 1, params)
     assert packing == {} and trace.rounded == ()
 
 
 def test_run_medium_long_prunes_impossible_deadlines():
     req = PacketRequest(0, 0, 8, 3, deadline=9)   # needs 8 moves, has 6
-    params = PipelineParams(10.0, eps=0.05, seed=1)
+    params = PipelineParams(10.0, seed=1)
     packing, trace = run_medium_long([req], 16, 1, 1, params)
     assert packing == {} and trace.unservable == 1
 
