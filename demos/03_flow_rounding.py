@@ -2,8 +2,9 @@
 
 The medium and long pipelines first solve a fractional relaxation: each
 request may split its unit of demand over many grid paths as long as edge
-loads stay within capacity.  ``max_throughput_mcf`` returns each request's
-flow as the weighted paths it routed, plus a dual bound that upper-bounds
+loads stay within capacity.  ``max_throughput_mcf`` packs edge-disjoint
+paths greedily, at most two per request, and returns each request's flow
+as the weighted paths it routed, plus a dual bound that upper-bounds
 any schedule: the origin cut, since no cell sends out more than its store
 and forward capacity.  ``cert_gap`` is how far the routed amount falls
 short of that bound, as a share of it.  Rounding then makes one

@@ -15,44 +15,36 @@ and the upper bound printed next to every schedule
 through that cell's store or forward edge, so one cell sends out at most
 ``store_cap + fwd_cap`` units, whatever the path lengths.
 
-The fractional solver routes flow greedily in round-robin turns, each along
-the fewest-store open path of the request's window, and never beyond
-residual capacity, so the held flow is feasible at every moment and nothing
-is lost to rescaling.  ``_PackState`` keeps one Python ``int`` per grid
-column of open store edges and one of open forward edges, bit = row, and
-clears an edge's bit when a route saturates it.  Each window is a column
-range with one row mask, so the bits start as those masks ORed into the
-nodes of a segment tree over the columns (Bentley 1977) and pushed down to
-the columns once.  ``_PackState.open_path`` fills the window's reachable
-cells column by column from these bitsets, a few big-integer operations per
+The fractional solver is a greedy edge-disjoint path packing: the greedy
+for edge-disjoint paths (Kleinberg, PhD thesis, MIT 1996), held to each
+request's hop budget like the greedy for bounded-length paths (Kolliopoulos
+and Stein, Math. Programming 2004).  In round-robin turns it routes each
+request along the fewest-store open path of its window, pushes
+``min(demand, cap)`` of each edge kind on the path, and closes every edge
+of the path.  So an edge is open exactly when its load is 0, carries at
+most one route, and never holds more than its capacity: the flow is
+feasible at every moment and nothing is lost to rescaling.  Every route
+closes one of its origin cell's two out-edges, so a request routes at most
+twice and takes at most three turns; a turn whose window holds no open path
+drops its request for good, since edges only ever close.
+
+``_PackState`` keeps one Python ``int`` per grid column of open store edges
+and one of open forward edges, bit = row.  Each window is a column range
+with one row mask, so the bits start as those masks ORed into the nodes of
+a segment tree over the columns (Bentley 1977) and pushed down to the
+columns once.  ``_PackState.open_path`` fills the window's reachable cells
+column by column from these bitsets, a few big-integer operations per
 column in the bit-parallel style of Myers (JACM 1999), and stops at the
 first column that reaches the destination row: a path ending in window
 column ``j`` takes ``j`` stores.  It walks the path back from there, one
-forward run per column, and returns those runs.  Most paths take few stores,
-so a fill costs far fewer steps than the window has rows.  A turn whose
-window holds no open path drops its request for good, since edges only ever
-fill.  ``_PackState.route`` then pushes the turn's flow along those runs a
-run at a time: such a path is one forward run per window column joined by
-single stores, and its move string is spelled out once, for the kept
-``GridPath``, only when the turn routes something.  An open edge's load is 0
-unless the sparse per-column map ``_PackState.partial`` holds it, so a run
-reads loads only in a column that has some, and a run whose edges all fill
-clears its open bits with one mask.  The solver keeps each route as one
-``(quantum, GridPath)`` pair, which is all rounding reads; a flow's per-edge
-map (``SingleFlow.edges``) is summed from its paths only when something
-reads it, and no solve path does.
-
-Why fewest stores.  In the pipeline both capacities are ``C = lam min(B, c)
-<= 1/2`` up to ``min(B, c) = 7``.  While every edge load is 0 or ``C``, a
-route pushes ``min(demand, C)`` and saturates its whole path, whose first
-edge is one of the origin cell's two out-edges.  So a request routes at most
-twice, its demand before either route is 1 or ``1 - C >= C``, and every
-route pushes a full ``C``, which keeps every load at 0 or ``C`` and the
-partial map empty.  Any congestion prices, a function of the load, would
-then price all open edges alike, and a cheapest open path is a fewest-store
-one.  Calls with other
-capacities (``B = c = 8`` gives ``C`` just above 1/2) use the same rule and
-fill the partial map; their flow stays feasible.
+forward run per column, and returns those runs.  Most paths take few
+stores, so a fill costs far fewer steps than the window has rows.  Such a
+path is one forward run per window column joined by single stores, so
+``_PackState.route`` closes it with one mask per run, and its move string
+is spelled out once, for the kept ``GridPath``.  The solver keeps each
+route as one ``(quantum, GridPath)`` pair, which is all rounding reads; a
+flow's per-edge map (``SingleFlow.edges``) is summed from its paths only
+when something reads it, and no solve path does.
 
 The dual bound is ``min(M, origin_cut)``, the request count and the origin
 cut, each of which bounds the fractional optimum, raised to the primal if
@@ -111,9 +103,11 @@ class SingleFlow:
 @dataclass(frozen=True)
 class FractionalMCF:
     """What ``max_throughput_mcf`` found.  ``cert_gap`` is
-    ``1 - throughput / dual_bound``.  ``dp_count`` is always 0: no solve
-    runs a cheapest-path DP, and the field stays because
-    ``perfbench/layers.py`` reads it."""
+    ``1 - throughput / dual_bound``, and ``congestion`` the largest quantum
+    over its edge's capacity, at most 1.  ``dp_count`` is always 0, as no
+    solve runs a cheapest-path DP, and ``budget_exhausted`` is always
+    ``False``, as the packing has no turn budget to exhaust; both fields
+    stay because ``perfbench/layers.py`` reads them."""
 
     flows: tuple[SingleFlow, ...]
     dual_bound: float
@@ -127,11 +121,7 @@ class FractionalMCF:
         return sum(f.amount for f in self.flows)
 
 
-_SATURATED = 1e-12     # residual below cap * this counts as full
-DUST = 1e-12           # a flow amount at or below this carries nothing
-
-# the packing loop stops after this many turns
-_TURNS_PER_REQUEST, _TURNS_BASE = 12, 2000
+DUST = 1e-12  # a flow amount at or below this carries nothing
 
 
 def _window_bits(width: int, windows: Iterable[tuple[int, int, int]]) -> list[int]:
@@ -163,12 +153,11 @@ def _window_bits(width: int, windows: Iterable[tuple[int, int, int]]) -> list[in
 
 
 class _PackState:
-    """Open-edge bitsets, partial loads and per-request windows on the grid.
+    """Open-edge bitsets and per-request windows on the grid.
 
     ``open[kind][col]`` has bit ``row`` set while edge ``(kind, row, col)``,
-    in window columns, lies in some request's window and is not saturated.
-    ``partial[kind][col]`` maps row to load for the open edges whose load is
-    not 0; ``congestion`` is the largest load over its capacity so far.
+    in window columns, lies in some request's window and no route has taken
+    it; ``congestion`` is the largest quantum over its capacity so far.
     """
 
     def __init__(self, reqs: Sequence[PacketRequest], hops: list[int],
@@ -190,46 +179,36 @@ class _PackState:
             stores.append((g0, g0 + s, rows))
             fwds.append((g0, g0 + s + 1, rows))
         self.open = {"s": _window_bits(self.W, stores), "f": _window_bits(self.W, fwds)}
-        self.partial: dict[str, dict[int, dict[int, float]]] = {"s": {}, "f": {}}
         self.congestion = 0.0
 
     def route(self, col: int, runs: Sequence[tuple[int, int]],
               demand: float) -> float:
-        """Push up to ``demand`` units along one window path, as far as its
-        residual allows, and clear the open bits of the edges it saturates.
+        """Push ``min(demand, cap of each edge kind on the path)`` along one
+        window path and close every edge of it, whatever capacity the
+        quantum leaves unused.
 
-        Returns the amount, 0 if the path has no residual, which a path
-        through a closed edge never has.
-
-        ``runs`` holds the path's forward run in each of its columns from
-        ``col`` on, as ``(first row, end row)`` pairs (``open_path``), and a
-        store leaves the end row of every run but the last, a run of one
-        store edge.  Since ``cap - load`` only falls as ``load`` grows, also
-        in floats, ``cap`` minus a kind's largest load on the path
-        (``_max_load``) is its smallest residual, and every edge takes
-        ``load + quantum`` (``_fill``).
+        Returns the amount, 0 for a path through a closed edge, which is
+        left as it was.  ``runs`` holds the path's forward run in each of
+        its columns from ``col`` on, as ``(first row, end row)`` pairs
+        (``open_path``), and a store leaves the end row of every run but the
+        last, so each run and each store closes with one mask.
         """
-        fwds, stores = [], []  # (first row, end row, column, row mask)
+        fwds, stores = [], []  # (column, row mask)
         for c, (r0, r1) in enumerate(runs, col):
             if r1 > r0:
-                fwds.append((r0, r1, c, ((1 << (r1 - r0)) - 1) << r0))
-            stores.append((r1, r1 + 1, c, 1 << r1))
+                fwds.append((c, ((1 << (r1 - r0)) - 1) << r0))
+            stores.append((c, 1 << r1))
         stores.pop()  # the path ends in the last run's column
-        quantum, loaded = demand, []
-        for kind, cap, kind_runs in (("f", self.fwd_cap, fwds),
-                                     ("s", self.store_cap, stores)):
-            if kind_runs:
-                bits = self.open[kind]
-                if any(bits[c] & m != m for _, _, c, m in kind_runs):
-                    return 0.0
-                high = _max_load(self.partial[kind], kind_runs)
-                quantum = min(quantum, cap - high)
-                loaded.append((kind, cap, kind_runs, high))
-        if quantum <= 0.0:
+        kinds = [(self.open[kind], cap, masks)
+                 for kind, cap, masks in (("f", self.fwd_cap, fwds),
+                                          ("s", self.store_cap, stores)) if masks]
+        if any(bits[c] & m != m for bits, _, masks in kinds for c, m in masks):
             return 0.0
-        for kind, cap, kind_runs, high in loaded:
-            _fill(self.open[kind], self.partial[kind], cap, kind_runs, quantum)
-            self.congestion = max(self.congestion, (high + quantum) / cap)
+        quantum = min([demand, *(cap for _, cap, _ in kinds)])
+        for bits, cap, masks in kinds:
+            for c, m in masks:
+                bits[c] &= ~m
+            self.congestion = max(self.congestion, quantum / cap)
         return quantum
 
     def open_path(self, req: PacketRequest, g0: int,
@@ -284,52 +263,6 @@ class _PackState:
         return runs
 
 
-def _max_load(partial: dict[int, dict[int, float]],
-              runs: list[tuple[int, int, int, int]]) -> float:
-    """The largest load on the runs' edges: ``partial``'s, 0 elsewhere."""
-    high = 0.0
-    for r0, r1, c, _ in runs:
-        col = partial.get(c)
-        if col:
-            for r in range(r0, r1):
-                high = max(high, col.get(r, 0.0))
-    return high
-
-
-def _fill(bits: list[int], partial: dict[int, dict[int, float]], cap: float,
-          runs: list[tuple[int, int, int, int]], quantum: float) -> None:
-    """Add ``quantum`` to the load of every edge of ``runs``, clear the open
-    bits of those it saturates and keep the others' loads in ``partial``.
-
-    An edge of load 0 then holds the quantum, so when the quantum fills
-    such an edge it fills every edge, and each run's bits clear with one
-    mask.  Only a quantum short of the capacity, which needs loads other
-    than 0 or one quantum (caps above 1/2), books loads edge by edge.
-    """
-    full = cap * _SATURATED
-    if cap - quantum <= full:
-        for r0, r1, c, m in runs:
-            bits[c] &= ~m
-            col = partial.get(c)
-            if col:
-                for r in range(r0, r1):
-                    col.pop(r, None)
-                if not col:
-                    del partial[c]
-        return
-    for r0, r1, c, _ in runs:
-        col = partial.setdefault(c, {})
-        for r in range(r0, r1):
-            x = col.get(r, 0.0) + quantum
-            if cap - x <= full:
-                bits[c] &= ~(1 << r)
-                col.pop(r, None)
-            else:
-                col[r] = x
-        if not col:
-            del partial[c]
-
-
 def origin_cut(requests: Iterable[PacketRequest], store_cap: float,
                fwd_cap: float) -> float:
     """Origin out-capacity cut: ``sum over origin cells of min(count, cap)``.
@@ -353,15 +286,15 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
     and every path of request i using at most ``hop_bounds[i]`` actions
     (enforced structurally through the per-request column window).
 
-    The returned flow respects all capacities exactly (no rescaling step).
-    ``dual_bound`` is ``min(M, origin_cut)``, a true upper bound on the
-    fractional optimum, raised to ``throughput`` where float rounding puts
-    that sum above it; ``cert_gap`` is the relative gap between the two.
-    Routing stops after ``12 M + 2000`` packing turns
-    (``budget_exhausted``); each turn routes the fewest-store open path of
-    its window (module docstring).  ``congestion`` is the largest edge load
-    over its capacity, and ``dp_count`` is always 0.  Every destination must
-    lie on the line of ``n`` nodes.
+    The returned flow respects all capacities exactly (no rescaling step):
+    each turn routes the fewest-store open path of its window and closes it,
+    so the routes are edge-disjoint, at most two per request (module
+    docstring).  ``dual_bound`` is ``min(M, origin_cut)``, a true upper
+    bound on the fractional optimum, raised to ``throughput`` where float
+    rounding puts that sum above it; ``cert_gap`` is the relative gap
+    between the two.  ``congestion`` is the largest quantum over its
+    capacity, ``dp_count`` is always 0 and ``budget_exhausted`` always
+    ``False``.  Every destination must lie on the line of ``n`` nodes.
     """
     if store_cap <= 0 or fwd_cap <= 0:
         raise ValueError("capacities must be positive")
@@ -377,30 +310,21 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
             raise ValueError(f"request {r.id}: destination {r.b} beyond the line of {n} nodes")
         if h < r.distance:
             raise ValueError(f"request {r.id}: hop bound {h} below distance {r.distance}")
-    turn_budget = _TURNS_PER_REQUEST * M + _TURNS_BASE
     state = _PackState(reqs, hops, store_cap, fwd_cap)
     raw = [0.0] * M
     routes: list[list[tuple[float, GridPath]]] = [[] for _ in range(M)]
 
-    turns = 0
-    budget_out = False
     active = deque(range(M))
     while active:
-        if turns >= turn_budget:
-            budget_out = True
-            break
-        turns += 1
         i = active.popleft()
         r = reqs[i]
         g0 = state.gcol0[i]
         runs = state.open_path(r, g0, state.slack[i])
         if runs is None:
-            continue  # no residual path left; edges only fill, so for good
-        # quantum: bounded by the residual along the path and the demand
+            continue  # no open path left; edges only close, so for good
         quantum = state.route(g0, runs, 1.0 - raw[i])
-        if quantum > 0.0:
-            moves = "s".join("f" * (r1 - r0) for r0, r1 in runs)
-            routes[i].append((quantum, GridPath(r.a, g0 + state.off, moves)))
+        moves = "s".join("f" * (r1 - r0) for r0, r1 in runs)
+        routes[i].append((quantum, GridPath(r.a, g0 + state.off, moves)))
         raw[i] += quantum
         if raw[i] < 1.0 - 1e-12:
             active.append(i)
@@ -410,8 +334,7 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
     primal = sum(f.amount for f in flows)
     dual_bound = max(primal, min(float(M), origin_cut(reqs, store_cap, fwd_cap)))
     cert_gap = 1.0 - primal / dual_bound
-    return FractionalMCF(flows, dual_bound, state.congestion, cert_gap,
-                         0, budget_out)
+    return FractionalMCF(flows, dual_bound, state.congestion, cert_gap, 0, False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -329,11 +330,6 @@ def cap_of(state, kind: str) -> float:
     return state.store_cap if kind == "s" else state.fwd_cap
 
 
-def saturated(state, kind: str, load: float) -> bool:
-    cap = cap_of(state, kind)
-    return cap - load <= cap * flow._SATURATED
-
-
 def replayed_loads(state) -> dict[tuple[str, int, int], float]:
     """Every edge's load, its routes' quanta added edge by edge in call order."""
     loads: dict[tuple[str, int, int], float] = {}
@@ -344,22 +340,14 @@ def replayed_loads(state) -> dict[tuple[str, int, int], float]:
     return loads
 
 
-def partial_loads(state) -> dict[tuple[str, int, int], float]:
-    return {(k, r, c): x for k, cols in state.partial.items()
-            for c, part in cols.items() for r, x in part.items()}
-
-
 def check_state_against_loads(state, reqs, loads) -> None:
-    """The open bits are the windows' minus the saturated edges, the partial
-    map holds every other loaded edge's load, and the congestion is the
+    """The open bits are the windows' minus every loaded edge, that is every
+    edge of every route with a quantum above 0, and the congestion is the
     largest load over its capacity."""
     bits = window_bits(state, reqs)
-    for (k, r, c), x in loads.items():
-        if saturated(state, k, x):
-            bits[k][c] &= ~(1 << r)
+    for k, r, c in loads:
+        bits[k][c] &= ~(1 << r)
     assert state.open == bits
-    assert partial_loads(state) == {e: x for e, x in loads.items()
-                                    if x > 0.0 and not saturated(state, e[0], x)}
     assert state.congestion == max([x / cap_of(state, k) for (k, _, _), x in loads.items()],
                                    default=0.0)
 
@@ -401,14 +389,14 @@ def test_window_bits_or_each_mask_into_its_columns(width, windows):
 @given(sweep_inputs(), st.integers(1, 7))
 def test_every_load_is_zero_or_one_quantum(inputs, k):
     # the pipeline's capacities lam * min(B, c) stay at most 1/2 up to
-    # min(B, c) = 7: every route then pushes a full quantum C and saturates
-    # its path, which is why the fewest-store open path is a cheapest one,
-    # and no load is left partial
+    # min(B, c) = 7: a request's demand before either of its two routes is
+    # 1 or 1 - C >= C, so every route pushes a full quantum C and every
+    # routed edge carries exactly C
     reqs, n, _, _, hops = inputs
     cap = capacity_scale() * k
     assert cap <= 0.5
     mcf, (state,) = solve_keeping_states(reqs, n, cap, cap, hops)
-    assert state.partial == {"s": {}, "f": {}}
+    assert set(replayed_loads(state).values()) <= {cap}
     assert all(q == cap for f in mcf.flows for q, _ in f.paths)
     assert mcf.congestion in (0.0, 1.0)
 
@@ -439,9 +427,8 @@ def test_precheck_on_hand_built_windows():
 
 
 def test_straight_path_shortcut_on_hand_built_windows():
-    # the straight path is taken whenever all its forward edges are open,
-    # not only when they are unloaded. One window of three rows and two
-    # columns: paths fff, sfff, fsff, ffsf
+    # the straight path is taken whenever all its forward edges are open.
+    # One window of three rows and two columns: paths fff, sfff, fsff, ffsf
     req = PacketRequest(0, 0, 3, 0)
 
     def fresh():
@@ -452,10 +439,10 @@ def test_straight_path_shortcut_on_hand_built_windows():
     state = fresh()
     assert route_moves(state, 1, 0, "s", 1.0) == 1.0
     assert state.open_path(req, 0, 1) == runs_of(0, "fff")
-    # a loaded but open forward edge still counts as open
+    # a route of half the cap closes its forward edge all the same
     state = fresh()
     assert route_moves(state, 1, 0, "f", 0.5) == 0.5
-    assert state.open_path(req, 0, 1) == runs_of(0, "fff")
+    assert state.open_path(req, 0, 1) == runs_of(0, "sfff")
     # one store is needed, and sfff, fsff and ffsf all take one: walking
     # back forward before store puts it first
     state = fresh()
@@ -469,7 +456,7 @@ def test_straight_path_shortcut_on_hand_built_windows():
 class Booked:
     """A pack state beside its loads, booked route by route, whose every
     ``route`` is checked against its per-edge meaning: the quantum, the
-    loads on the path, the open bits, the partial map and the congestion."""
+    loads on the path, the open bits and the congestion."""
 
     def __init__(self, reqs, hops, store_cap, fwd_cap):
         self.reqs = reqs
@@ -482,12 +469,12 @@ class Booked:
         is_open = all(state.open[k][c] >> r & 1 for k, r, c in path)
         quantum = route_moves(state, row, g0, moves, demand)
         if not is_open:
-            assert quantum == 0.0  # a closed edge has no residual
+            assert quantum == 0.0  # a closed edge takes no second route
         else:
-            residual = min(cap_of(state, k) - loads.get((k, r, c), 0.0) for k, r, c in path)
-            assert quantum == min(demand, residual)
+            assert quantum == min([demand, *(cap_of(state, k) for k, _, _ in path)])
             for e in path:
-                loads[e] = loads.get(e, 0.0) + quantum
+                assert e not in loads
+                loads[e] = quantum
         check_state_against_loads(state, self.reqs, loads)
         return quantum
 
@@ -498,46 +485,51 @@ def test_route_updates_loads_and_open_bits():
     state = booked.state
     assert state.gcol0 == [0, 0]
     # a path that starts with a store and has two stores in a row, so one
-    # column's forward run is empty; nothing fills up
+    # column's forward run is empty; it closes though it carries less than
+    # either cap
     assert booked.route(0, 0, "ssffsff", 0.3) == 0.3
-    # the second path's first run fills rows 1-3 of column 0 but not row 4:
-    # a partly saturated run, whose bits are cleared one by one
+    # the second path's run closes rows 0-3 of column 0 with one mask, and a
+    # third path through rows 1-3 there routes nothing and closes nothing
     assert booked.route(0, 0, "ffff", 0.6) == 0.6
-    assert booked.route(1, 0, "ffff", 0.9) == pytest.approx(0.7)
-    assert [state.open["f"][0] >> r & 1 for r in range(5)] == [1, 0, 0, 0, 1]
-    assert state.partial["f"][0] == pytest.approx({0: 0.6, 4: 0.7})
-    # with the caps swapped, both runs of sffsff fill up and each is
-    # cleared by one mask, while its stores stay open
+    assert booked.route(1, 0, "ffff", 0.9) == 0.0
+    assert [state.open["f"][0] >> r & 1 for r in range(5)] == [0, 0, 0, 0, 1]
+    # the open forward edge left in row 4 takes a full forward cap
+    assert booked.route(4, 0, "f", 2.0) == 1.3
+    assert state.congestion == 1.0
+    # with the caps swapped, the forward cap bounds the quantum, and the
+    # stores close as well as both runs of sffsff
     booked = Booked(reqs, [9, 8], 1.3, 0.7)
     state = booked.state
     assert booked.route(0, 0, "sffsff", 1.0) == 0.7
     assert [state.open["f"][1] >> 0 & 3, state.open["f"][2] >> 2 & 3] == [0, 0]
-    assert [state.open["s"][0] & 1, state.open["s"][1] >> 2 & 1] == [1, 1]
-    assert state.partial == {"s": {0: {0: 0.7}, 1: {2: 0.7}}, "f": {}}
+    assert [state.open["s"][0] & 1, state.open["s"][1] >> 2 & 1] == [0, 0]
 
     booked = Booked(reqs, [9, 8], 0.7, 1.3)
     state = booked.state
     rng = np.random.default_rng(3)
-    routed = []
+    routed = Counter()
     for step in range(40):
         i = step % 2
         r, g0, s = reqs[i], state.gcol0[i], state.slack[i]
         stores = int(rng.integers(0, s + 1))
         moves = "".join(rng.permutation(["f"] * (r.distance - 1) + ["s"] * stores)) + "f"
-        quantum = booked.route(r.a, g0, moves, float(rng.uniform(0.05, 0.6)))
-        if quantum > 0.0:
-            routed.append(quantum)
-    assert len(routed) > 5 and any(q < 0.05 for q in routed)  # some paths saturate
+        if booked.route(r.a, g0, moves, float(rng.uniform(0.05, 0.6))) > 0.0:
+            routed[i] += 1
+    # each route closes one of its origin's two out-edges, so no request
+    # routes more than twice
+    assert routed == {0: 2, 1: 1}
 
 
-def solve_recording_routes(*args) -> tuple[FractionalMCF, list]:
+def solve_recording_routes(*args) -> tuple[FractionalMCF, list, Counter]:
     """Solve and record every route as ``(request id, quantum, edge keys)``,
-    the keys spelled out per edge in path order and grid columns."""
-    calls = []
+    the keys spelled out per edge in path order and grid columns, and count
+    each request's turns."""
+    calls, turns = [], Counter()
 
     class Recording(flow._PackState):
         def open_path(self, req, g0, s):
             self.req_id = req.id
+            turns[req.id] += 1
             return super().open_path(req, g0, s)
 
         def route(self, col, runs, demand):
@@ -549,7 +541,7 @@ def solve_recording_routes(*args) -> tuple[FractionalMCF, list]:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flow, "_PackState", Recording)
-        return max_throughput_mcf(*args), calls
+        return max_throughput_mcf(*args), calls, turns
 
 
 def booked_edges(calls, rid: int) -> dict[tuple[str, int, int], float]:
@@ -562,26 +554,47 @@ def booked_edges(calls, rid: int) -> dict[tuple[str, int, int], float]:
     return summed
 
 
-def test_later_routes_add_to_a_requests_edges():
-    # request 1's second route ssf goes back through the store its first
-    # route sf took, which request 0's route f left it as the only way out
+def test_a_route_never_reuses_an_edge_of_an_earlier_route():
+    # request 0's route f closes the forward edge out of the shared origin
+    # cell, so request 1's first route sf closes the store, and with both
+    # out-edges closed request 1 has no second route to take
     reqs = [PacketRequest(0, 0, 1, 2), PacketRequest(1, 0, 1, 2)]
-    mcf, calls = solve_recording_routes(reqs, 2, 1.5, 0.75, {0: 1, 1: 3})
+    mcf, calls, turns = solve_recording_routes(reqs, 2, 1.5, 0.75, {0: 1, 1: 3})
     assert [(i, k) for i, _, k in calls] == [
         (0, [("f", 0, 2)]),
-        (1, [("s", 0, 2), ("f", 0, 3)]),
-        (1, [("s", 0, 2), ("s", 0, 3), ("f", 0, 4)])]
+        (1, [("s", 0, 2), ("f", 0, 3)])]
+    assert turns == {0: 2, 1: 2}
     for f in mcf.flows:
         assert list(f.edges.items()) == list(booked_edges(calls, f.request.id).items())
-    assert mcf.flows[1].edges[("s", 0, 2)] == 1.0
+    assert mcf.flows[1].edges[("s", 0, 2)] == 0.75
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(sweep_inputs(), tiny_mcf_inputs()))
+@example(wide_band())
+def test_routes_are_edge_disjoint_and_at_most_two_per_request(inputs):
+    # every route closes its path, one of its origin cell's two out-edges
+    # included, so no turn after a request's second route finds a path
+    _, _, store_cap, fwd_cap, _ = inputs
+    mcf, calls, turns = solve_recording_routes(*inputs)
+    keys = [key for _, _, path in calls for key in path]
+    assert len(keys) == len(set(keys))
+    assert max(Counter(i for i, q, _ in calls if q > 0.0).values(), default=0) <= 2
+    assert max(turns.values()) <= 3
+    raw = dict.fromkeys(turns, 0.0)
+    for i, quantum, path in calls:
+        caps = {store_cap if k == "s" else fwd_cap for k, _, _ in path}
+        assert quantum == min([1.0 - raw[i], *caps])
+        raw[i] += quantum
+    assert not mcf.budget_exhausted
 
 
 @settings(max_examples=200, deadline=None)
 @given(sweep_inputs())
 def test_edge_maps_from_paths_match_per_route_booking(inputs):
-    # caps up to 1 let later routes of one request share edges; the map
-    # summed from the kept paths books the same floats in the same order
-    mcf, calls = solve_recording_routes(*inputs)
+    # the map summed from the kept paths books the same floats in the same
+    # order as booking each route's edges as it is routed
+    mcf, calls, _ = solve_recording_routes(*inputs)
     for f in mcf.flows:
         assert "edges" not in f.__dict__  # built on first read only
         assert [(q, list(p.edges())) for q, p in f.paths] == [
@@ -620,14 +633,19 @@ def test_solve_builds_no_edge_maps():
         assert "edges" not in f.__dict__, f.request.id
 
 
-def test_solve_at_caps_above_one_half_books_partial_loads():
+def test_solve_at_caps_above_one_half_closes_partly_filled_paths():
     # at B = c = 8 the λ solve's caps C = 8 lam pass 1/2, so a request's
-    # second route pushes 1 - C < C and leaves its path partly loaded
+    # second route pushes 1 - C < C, and it still closes its path
     inst = gen_random_instance(64, 8, 8, 150, seed=5)
-    assert 0.5 < 8 * capacity_scale() < 0.52
+    cap = 8 * capacity_scale()
+    assert 0.5 < cap < 0.52
     with keeping_states() as states:
         packing, _ = pipeline.solve_instance(inst, seed=5)
-    assert any(cols for state in states for cols in state.partial.values())
+    partly = [(state, call) for state in states for call in state.calls
+              if call[3] == 1.0 - cap]
+    assert partly
+    for state, (row, col, moves, _) in partly:
+        assert not any(state.open[k][c] >> r & 1 for k, r, c in GridPath(row, col, moves).edges())
     assert packing
     verdict = validate_schedule(inst, packing_to_schedule(inst, packing))
     assert verdict.ok, verdict.violations
