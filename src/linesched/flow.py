@@ -25,26 +25,30 @@ of the path.  So an edge is open exactly when its load is 0, carries at
 most one route, and never holds more than its capacity: the flow is
 feasible at every moment and nothing is lost to rescaling.  Every route
 closes one of its origin cell's two out-edges, so a request routes at most
-twice and takes at most three turns; a turn whose window holds no open path
-drops its request for good, since edges only ever close.
+twice: all requests take a first turn in id order, and those that routed
+once and still want more take a second.  A turn whose window holds no open
+path drops its request for good, since edges only ever close.
 
 ``_PackState`` keeps one Python ``int`` per grid column of open store edges
-and one of open forward edges, bit = row.  Each window is a column range
-with one row mask, so the bits start as those masks ORed into the nodes of
-a segment tree over the columns (Bentley 1977) and pushed down to the
-columns once.  ``_PackState.open_path`` fills the window's reachable cells
+and one of open forward edges, bit = row.  The bits of every row short of
+the furthest destination row start set, with no window masks: a request's
+fill reads only the rows and columns of its own window, so an edge outside
+every window is never read.  (Not ``-1``: Python's bit operations on
+negative ints cost more, the more so the longer the line.)  One
+``_PackState.take`` is one turn.  It fills the window's reachable cells
 column by column from these bitsets, a few big-integer operations per
 column in the bit-parallel style of Myers (JACM 1999), and stops at the
 first column that reaches the destination row: a path ending in window
-column ``j`` takes ``j`` stores.  It walks the path back from there, one
-forward run per column, and returns those runs.  Most paths take few
-stores, so a fill costs far fewer steps than the window has rows.  Such a
-path is one forward run per window column joined by single stores, so
-``_PackState.route`` closes it with one mask per run, and its move string
-is spelled out once, for the kept ``GridPath``.  The solver keeps each
-route as one ``(quantum, GridPath)`` pair, which is all rounding reads; a
-flow's per-edge map (``SingleFlow.edges``) is summed from its paths only
-when something reads it, and no solve path does.
+column ``j`` takes ``j`` stores.  Most paths take few stores, so a fill
+costs far fewer steps than the window has rows.  It then walks the path
+back from the destination, one forward run per column joined by single
+stores, and closes each run with one mask and each store with one bit as
+it goes; the walk follows open edges only, so nothing needs checking
+again.  The solver keeps each route as ``(quantum, row, col, moves)``, and
+a flow builds its ``GridPath`` pairs (``SingleFlow.paths``) and its
+per-edge map (``SingleFlow.edges``) only when something reads them:
+rounding reads the paths of the requests its coin accepts, and no solve
+path reads an edge map.
 
 The dual bound is ``min(M, origin_cut)``, the request count and the origin
 cut, each of which bounds the fractional optimum, raised to the primal if
@@ -55,7 +59,7 @@ with that very number.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -77,19 +81,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SingleFlow:
-    """Scaled flow of one request: total amount and weighted paths.
+    """Scaled flow of one request: total amount and weighted routes.
 
-    ``paths`` holds ``(quantum, GridPath)`` pairs in route order.  ``edges``
+    ``routes`` holds one ``(quantum, row, col, moves)`` tuple per route, in
+    route order: the quantum and the path's first cell and moves.  ``paths``
+    holds the same routes as ``(quantum, GridPath)`` pairs, and ``edges``
     maps each edge key ``(kind, row, col)``, kind ``"s"`` or ``"f"`` and the
     tail cell in untilted coordinates, to the summed quanta of the paths
-    through it.  It is built on first read and kept: the quanta are added
-    path by path in route order, each path's edges in path order.  No solve
-    path reads it; rounding picks whole paths.
+    through it, added path by path in route order, each path's edges in
+    path order.  Both are built on first read and kept.  Rounding reads the
+    paths of the flows it accepts; no solve path reads an edge map.
     """
 
     request: PacketRequest
     amount: float
-    paths: tuple[tuple[float, GridPath], ...]
+    routes: tuple[tuple[float, int, int, str], ...]
+
+    @cached_property
+    def paths(self) -> tuple[tuple[float, GridPath], ...]:
+        return tuple((q, GridPath(row, col, moves)) for q, row, col, moves in self.routes)
 
     @cached_property
     def edges(self) -> dict[tuple[str, int, int], float]:
@@ -124,98 +134,34 @@ class FractionalMCF:
 DUST = 1e-12  # a flow amount at or below this carries nothing
 
 
-def _window_bits(width: int, windows: Iterable[tuple[int, int, int]]) -> list[int]:
-    """One Python int per column of ``width``, bit = row: the OR of every
-    window ``(first column, end column, row mask)`` over its columns.
-
-    Each mask goes into the O(log width) nodes of a segment tree over the
-    columns that tile its range (Bentley 1977), and one pass pushes every
-    node into its children, so the leaves end up as the columns' bits.
-    """
-    size = 1 << max(width - 1, 0).bit_length()
-    tree = [0] * (2 * size)
-    for lo, hi, mask in windows:
-        lo += size
-        hi += size
-        while lo < hi:
-            if lo & 1:
-                tree[lo] |= mask
-                lo += 1
-            if hi & 1:
-                hi -= 1
-                tree[hi] |= mask
-            lo >>= 1
-            hi >>= 1
-    for i in range(1, size):
-        tree[2 * i] |= tree[i]
-        tree[2 * i + 1] |= tree[i]
-    return tree[size:size + width]
-
-
 class _PackState:
-    """Open-edge bitsets and per-request windows on the grid.
+    """Open-edge bitsets on the grid and one window per request.
 
-    ``open[kind][col]`` has bit ``row`` set while edge ``(kind, row, col)``,
-    in window columns, lies in some request's window and no route has taken
-    it; ``congestion`` is the largest quantum over its capacity so far.
+    ``open[kind][col]`` has bit ``row``, for every row short of the
+    furthest destination row, cleared once a route takes edge
+    ``(kind, row, col)``, in window columns, and set otherwise.
+    ``windows[i]`` is request i's first row, distance, first window column
+    and slack, its hop bound minus its distance.  ``congestion`` is the
+    largest quantum over its capacity so far.
     """
 
     def __init__(self, reqs: Sequence[PacketRequest], hops: list[int],
                  store_cap: float, fwd_cap: float):
-        self.store_cap = store_cap
-        self.fwd_cap = fwd_cap
-        cols0 = [r.t - r.a for r in reqs]
-        slacks = [hops[i] - r.distance for i, r in enumerate(reqs)]
-        self.off = min(cols0)
-        self.W = max(c0 + s for c0, s in zip(cols0, slacks)) - self.off + 1
-        self.gcol0 = [c0 - self.off for c0 in cols0]
-        self.slack = slacks
-        # stores are never taken in the destination row (paths end on the
-        # first touch of row b), so a window's stores and forward edges span
-        # the same rows a..b-1; its stores stop a column short
-        stores, fwds = [], []
-        for r, g0, s in zip(reqs, self.gcol0, slacks):
-            rows = ((1 << r.distance) - 1) << r.a
-            stores.append((g0, g0 + s, rows))
-            fwds.append((g0, g0 + s + 1, rows))
-        self.open = {"s": _window_bits(self.W, stores), "f": _window_bits(self.W, fwds)}
+        # the least capacity on a path without stores and on one with
+        self.least_cap = (fwd_cap, min(fwd_cap, store_cap))
+        off = min(r.t - r.a for r in reqs)  # the first window column's grid column
+        self.windows = [(r.a, r.distance, r.t - r.a - off, h - r.distance)
+                        for r, h in zip(reqs, hops)]
+        width = max(g0 + s for _, _, g0, s in self.windows) + 1
+        ones = (1 << max(r.b for r in reqs)) - 1  # every row a window uses
+        self.open = {"s": [ones] * width, "f": [ones] * width}
         self.congestion = 0.0
 
-    def route(self, col: int, runs: Sequence[tuple[int, int]],
-              demand: float) -> float:
-        """Push ``min(demand, cap of each edge kind on the path)`` along one
-        window path and close every edge of it, whatever capacity the
-        quantum leaves unused.
-
-        Returns the amount, 0 for a path through a closed edge, which is
-        left as it was.  ``runs`` holds the path's forward run in each of
-        its columns from ``col`` on, as ``(first row, end row)`` pairs
-        (``open_path``), and a store leaves the end row of every run but the
-        last, so each run and each store closes with one mask.
-        """
-        fwds, stores = [], []  # (column, row mask)
-        for c, (r0, r1) in enumerate(runs, col):
-            if r1 > r0:
-                fwds.append((c, ((1 << (r1 - r0)) - 1) << r0))
-            stores.append((c, 1 << r1))
-        stores.pop()  # the path ends in the last run's column
-        kinds = [(self.open[kind], cap, masks)
-                 for kind, cap, masks in (("f", self.fwd_cap, fwds),
-                                          ("s", self.store_cap, stores)) if masks]
-        if any(bits[c] & m != m for bits, _, masks in kinds for c, m in masks):
-            return 0.0
-        quantum = min([demand, *(cap for _, cap, _ in kinds)])
-        for bits, cap, masks in kinds:
-            for c, m in masks:
-                bits[c] &= ~m
-            self.congestion = max(self.congestion, quantum / cap)
-        return quantum
-
-    def open_path(self, req: PacketRequest, g0: int,
-                  s: int) -> list[tuple[int, int]] | None:
-        """The request's fewest-store path of open edges as its forward run
-        in each window column from ``g0`` on, ``(first row, end row)``, or
-        None when its window holds no such path.
+    def take(self, i: int, demand: float) -> tuple[float, str] | None:
+        """Route request i along its window's fewest-store open path: push
+        ``min(demand, cap of each edge kind on the path)`` and close every
+        edge of the path.  Returns the quantum and the path's moves, or None
+        when the window holds no open path.
 
         A forward fill of the reachable window cells, column by column from
         the origin's, with bit ``k`` for window row ``a + k``; ``x`` starts
@@ -228,16 +174,18 @@ class _PackState:
         cells right a column.  A path ending in window column ``j`` takes
         ``j`` stores, so the fill stops at the first column that reaches the
         destination row, after as many columns as the path has stores plus
-        one.
+        one.  Stores are never taken in the destination row, so the fill
+        reads rows ``a..b-1`` only, and no stores out of the last column.
 
         The walk back from the destination cell goes up while its cell was
         entered from above and left otherwise: it climbs each column to the
         nearest cell up that was not entered from above, and takes the store
-        into that cell, so each column's climb is that column's run.  Ties
-        among fewest-store paths thus go to the one whose stores come
-        earliest.
+        into that cell, so each column's climb is that column's forward run.
+        Ties among fewest-store paths thus go to the one whose stores come
+        earliest.  Each run closes with one mask and each store with one
+        bit; the walk follows only edges the fill found open.
         """
-        a, d = req.a, req.distance
+        a, d, g0, s = self.windows[i]
         full = (1 << d) - 1
         store, fwd = self.open["s"], self.open["f"]
         last = g0 + s
@@ -255,12 +203,22 @@ class _PackState:
                 return None
         k = d
         runs = []
-        for up in reversed(above):
+        for up in above[:0:-1]:  # back to the second window column
             top = (~up & ((2 << k) - 1)).bit_length() - 1
-            runs.append((a + top, a + k))
+            fwd[col] &= ~((1 << (a + k)) - (1 << (a + top)))
+            runs.append("f" * (k - top))
             k = top
+            col -= 1
+            store[col] &= ~(1 << (a + k))  # the store into the column walked
+        # every cell reached in the origin's column is entered from above but
+        # the origin, so that column's run starts at the origin
+        fwd[g0] &= ~((1 << (a + k)) - (1 << a))
+        runs.append("f" * k)
+        cap = self.least_cap[len(above) > 1]
+        quantum = min(demand, cap)
+        self.congestion = max(self.congestion, quantum / cap)
         runs.reverse()
-        return runs
+        return quantum, "s".join(runs)
 
 
 def origin_cut(requests: Iterable[PacketRequest], store_cap: float,
@@ -312,25 +270,24 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
             raise ValueError(f"request {r.id}: hop bound {h} below distance {r.distance}")
     state = _PackState(reqs, hops, store_cap, fwd_cap)
     raw = [0.0] * M
-    routes: list[list[tuple[float, GridPath]]] = [[] for _ in range(M)]
+    routes: list[tuple[tuple[float, int, int, str], ...]] = [()] * M
 
-    active = deque(range(M))
-    while active:
-        i = active.popleft()
+    def turn(i: int) -> bool:
+        """Take one route for request i; True if it wants a second."""
+        got = state.take(i, 1.0 - raw[i])
+        if got is None:
+            return False  # no open path left; edges only close, so for good
+        quantum, moves = got
         r = reqs[i]
-        g0 = state.gcol0[i]
-        runs = state.open_path(r, g0, state.slack[i])
-        if runs is None:
-            continue  # no open path left; edges only close, so for good
-        quantum = state.route(g0, runs, 1.0 - raw[i])
-        moves = "s".join("f" * (r1 - r0) for r0, r1 in runs)
-        routes[i].append((quantum, GridPath(r.a, g0 + state.off, moves)))
+        routes[i] += ((quantum, r.a, r.t - r.a, moves),)
         raw[i] += quantum
-        if raw[i] < 1.0 - 1e-12:
-            active.append(i)
+        return raw[i] < 1.0 - 1e-12
 
-    flows = tuple(SingleFlow(request=r, amount=min(raw[i], 1.0), paths=tuple(routes[i]))
-                  for i, r in enumerate(reqs))
+    # a second route closes the origin's last open out-edge, so no third
+    for i in [i for i in range(M) if turn(i)]:
+        turn(i)
+
+    flows = tuple(SingleFlow(r, min(x, 1.0), rs) for r, x, rs in zip(reqs, raw, routes))
     primal = sum(f.amount for f in flows)
     dual_bound = max(primal, min(float(M), origin_cut(reqs, store_cap, fwd_cap)))
     cert_gap = 1.0 - primal / dual_bound
@@ -356,12 +313,12 @@ def randomized_round(flows: Iterable[SingleFlow], master_seed: int) -> dict[int,
     for sf in flows:
         if sf.amount <= DUST:
             continue
-        if not sf.paths:
+        if not sf.routes:
             raise ValueError(f"request {sf.request.id}: amount {sf.amount} on no path")
         rng = request_rng(master_seed, sf.request.id)
         if rng.random() >= min(sf.amount, 1.0):
             continue
-        pick = rng.random() * sum(q for q, _ in sf.paths)
+        pick = rng.random() * sum(q for q, *_ in sf.routes)
         # a pick that float rounding leaves at or past the sum takes the last route
         for q, path in sf.paths:
             pick -= q

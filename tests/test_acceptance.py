@@ -212,11 +212,10 @@ def test_criterion_04_constants():
 
 def test_criterion_05_rounding_unbiasedness():
     req = PacketRequest(0, 0, 2, 1)
-    paths = ((0.3, GridPath(0, 1, "ff")), (0.1, GridPath(0, 1, "fsf")),
-             (0.2, GridPath(0, 1, "sff")))
+    routes = ((0.3, 0, 1, "ff"), (0.1, 0, 1, "fsf"), (0.2, 0, 1, "sff"))
     edges = {("f", 0, 1): 0.4, ("s", 0, 1): 0.2, ("f", 0, 2): 0.2,
              ("f", 1, 1): 0.3, ("s", 1, 1): 0.1, ("f", 1, 2): 0.3}
-    flow = SingleFlow(req, 0.6, paths)
+    flow = SingleFlow(req, 0.6, routes)
     assert flow.edges == pytest.approx(edges, rel=1e-15)
     trials = 100_000
     hits = Counter()

@@ -1,7 +1,8 @@
 import contextlib
+import copy
 import itertools
 import math
-from collections import Counter
+from collections import Counter, deque
 from types import SimpleNamespace
 
 import numpy as np
@@ -197,28 +198,7 @@ def window_paths(d: int, s: int):
             yield "".join(moves) + "f"
 
 
-def moves_of(runs: list[tuple[int, int]]) -> str:
-    """A window path's moves from its forward run in each column."""
-    return "s".join("f" * (r1 - r0) for r0, r1 in runs)
-
-
-def runs_of(row: int, moves: str) -> list[tuple[int, int]]:
-    """A path's forward run in each column, ``(first row, end row)``, from
-    its first row and its moves."""
-    runs = []
-    for run in moves.split("s"):
-        runs.append((row, row + len(run)))
-        row += len(run)
-    return runs
-
-
-def route_moves(state, row: int, col: int, moves: str, demand: float) -> float:
-    """``_PackState.route`` on a path given by its first cell and moves."""
-    return state.route(col, runs_of(row, moves), demand)
-
-
-def is_open(bits, req: PacketRequest, g0: int, moves: str) -> bool:
-    row, col = req.a, g0
+def is_open(bits, row: int, col: int, moves: str) -> bool:
     for mv in moves:
         if not bits[mv][col] >> row & 1:
             return False
@@ -226,55 +206,74 @@ def is_open(bits, req: PacketRequest, g0: int, moves: str) -> bool:
     return True
 
 
-def brute_force_path(state, req: PacketRequest, g0: int,
-                     s: int) -> list[tuple[int, int]] | None:
-    """The fewest-store open path by enumeration, as its runs; among those,
-    the walk back goes forward before store, so the reversed moves are
-    least."""
-    paths = [m for m in window_paths(req.distance, s) if is_open(state.open, req, g0, m)]
-    best = min(paths, key=lambda m: (m.count("s"), m[::-1]), default=None)
-    return None if best is None else runs_of(req.a, best)
+def close(state, row: int, col: int, moves: str) -> None:
+    """Clear the open bit of every edge of a path, by hand."""
+    for k, r, c in GridPath(row, col, moves).edges():
+        state.open[k][c] &= ~(1 << r)
+
+
+def brute_force_take(state, i: int, demand: float) -> tuple[float, str] | None:
+    """``_PackState.take`` by enumeration: the fewest-store open path, and
+    among those the one whose reversed moves are least, as the walk back
+    goes forward before store; routed by closing it edge by edge."""
+    a, d, g0, s = state.windows[i]
+    paths = [m for m in window_paths(d, s) if is_open(state.open, a, g0, m)]
+    if not paths:
+        return None
+    best = min(paths, key=lambda m: (m.count("s"), m[::-1]))
+    cap = state.least_cap["s" in best]  # the least capacity on the path
+    close(state, a, g0, best)
+    state.congestion = max(state.congestion, min(demand, cap) / cap)
+    return min(demand, cap), best
 
 
 @st.composite
 def open_windows(draw):
     """Random open bitsets, one int per column with bit = row, around one
-    window of at most 5 rows and 6 columns, with bits set outside it too."""
+    window of at most 5 rows and 6 columns, with bits set outside it too,
+    as a pack state with random caps and a demand."""
     d, s = draw(st.integers(1, 5)), draw(st.integers(0, 5))
     a, g0 = draw(st.integers(0, 2)), draw(st.integers(0, 2))
     col_bits = st.lists(st.integers(0, 2**(a + d + 2) - 1),
                         min_size=g0 + s + 2, max_size=g0 + s + 2)
-    bits = {"s": draw(col_bits), "f": draw(col_bits)}
-    return SimpleNamespace(open=bits), PacketRequest(0, a, a + d, a + g0), g0, s
+    caps = st.sampled_from([0.2, 0.5, 1.0, 2.0])
+    store_cap, fwd_cap = draw(caps), draw(caps)
+    state = SimpleNamespace(open={"s": draw(col_bits), "f": draw(col_bits)},
+                            windows=[(a, d, g0, s)],
+                            least_cap=(fwd_cap, min(fwd_cap, store_cap)),
+                            congestion=draw(st.sampled_from([0.0, 0.5])))
+    return state, draw(st.sampled_from([0.3, 1.0]))
 
 
 @settings(max_examples=500, deadline=None)
 @given(open_windows())
 # every open path enters column 1 in row 0 or 2, forwards on through one run
 # of open forward edges, and leaves it by the store out of row 3
-@example((SimpleNamespace(open={"f": [0b111, 0b111, 0b1000], "s": [0b101, 0b1000, 0]}),
-          PacketRequest(0, 0, 4, 0), 0, 2))
+@example((SimpleNamespace(open={"f": [0b111, 0b111, 0b1000], "s": [0b101, 0b1000, 0]},
+                          windows=[(0, 4, 0, 2)], least_cap=(1.0, 1.0), congestion=0.0), 1.0))
 # the fill reaches row 1 in columns 0 and 2, stores on from both into one
 # run of open stores, and leaves it from column 3
-@example((SimpleNamespace(open={"f": [0b1, 0, 0b1, 0b10, 0], "s": [0b111] * 4 + [0]}),
-          PacketRequest(0, 0, 2, 0), 0, 4))
+@example((SimpleNamespace(open={"f": [0b1, 0, 0b1, 0b10, 0], "s": [0b111] * 4 + [0]},
+                          windows=[(0, 2, 0, 4)], least_cap=(1.0, 1.0), congestion=0.0), 1.0))
 def test_open_path_is_the_brute_force_fewest_store_path(window):
-    state, req, g0, s = window
-    got = flow._PackState.open_path(state, req, g0, s)
-    want = brute_force_path(state, req, g0, s)
-    assert (got is None) == (want is None)
+    # take routes the brute force's path, pushes the same quantum and closes
+    # the same bits, and finds no path exactly where the brute force does
+    state, demand = window
+    want_state = copy.deepcopy(state)
+    got = flow._PackState.take(state, 0, demand)
+    want = brute_force_take(want_state, 0, demand)
+    assert got == want
+    assert state == want_state
     if got is not None:
-        moves = moves_of(got)
-        assert got == runs_of(req.a, moves)
-        assert moves.count("f") == req.distance and moves[-1] == "f"
+        _, d, _, s = state.windows[0]
+        moves = got[1]
+        assert moves.count("f") == d and moves[-1] == "f"
         assert moves.count("s") <= s
-        assert is_open(state.open, req, g0, moves)
-        assert got == want
 
 
 def solve_with_brute_force_paths(*args) -> FractionalMCF:
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flow._PackState, "open_path", brute_force_path)
+        mp.setattr(flow._PackState, "take", brute_force_take)
         return max_throughput_mcf(*args)
 
 
@@ -282,14 +281,14 @@ def solve_with_brute_force_paths(*args) -> FractionalMCF:
 @given(tiny_mcf_inputs())
 def test_skipping_unreachable_turns_never_changes_the_result(inputs):
     # the brute force finds no open path exactly where the bitset fill does,
-    # and picks the same path elsewhere
+    # and picks and closes the same path elsewhere
     assert repr(max_throughput_mcf(*inputs)) == repr(solve_with_brute_force_paths(*inputs))
 
 
 @contextlib.contextmanager
 def keeping_states():
     """Keep every pack state built inside the block, each recording its
-    ``route`` calls as ``(row, col, moves, quantum)`` in ``calls``."""
+    routes as ``(row, col, moves, quantum)`` in ``calls``."""
     states = []
 
     class Kept(flow._PackState):
@@ -298,10 +297,12 @@ def keeping_states():
             self.calls = []
             states.append(self)
 
-        def route(self, col, runs, demand):
-            quantum = super().route(col, runs, demand)
-            self.calls.append((runs[0][0], col, moves_of(runs), quantum))
-            return quantum
+        def take(self, i, demand):
+            got = super().take(i, demand)
+            if got is not None:
+                a, _, g0, _ = self.windows[i]
+                self.calls.append((a, g0, got[1], got[0]))
+            return got
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flow, "_PackState", Kept)
@@ -313,42 +314,26 @@ def solve_keeping_states(*args) -> tuple[FractionalMCF, list[flow._PackState]]:
         return max_throughput_mcf(*args), states
 
 
-def window_bits(state, reqs) -> dict[str, list[int]]:
-    """Each window's rows ORed into its columns one by one: the reference
-    for the segment tree."""
-    bits = {"s": [0] * state.W, "f": [0] * state.W}
-    for r, g0, s in zip(sorted(reqs, key=lambda r: r.id), state.gcol0, state.slack):
-        rows = ((1 << r.distance) - 1) << r.a
-        for c in range(g0, g0 + s + 1):
-            bits["f"][c] |= rows
-            if c < g0 + s:
-                bits["s"][c] |= rows
-    return bits
-
-
-def cap_of(state, kind: str) -> float:
-    return state.store_cap if kind == "s" else state.fwd_cap
-
-
 def replayed_loads(state) -> dict[tuple[str, int, int], float]:
     """Every edge's load, its routes' quanta added edge by edge in call order."""
     loads: dict[tuple[str, int, int], float] = {}
     for row, col, moves, quantum in state.calls:
-        if quantum > 0.0:
-            for key in GridPath(row, col, moves).edges():
-                loads[key] = loads.get(key, 0.0) + quantum
+        for key in GridPath(row, col, moves).edges():
+            loads[key] = loads.get(key, 0.0) + quantum
     return loads
 
 
-def check_state_against_loads(state, reqs, loads) -> None:
-    """The open bits are the windows' minus every loaded edge, that is every
-    edge of every route with a quantum above 0, and the congestion is the
-    largest load over its capacity."""
-    bits = window_bits(state, reqs)
+def check_state_against_loads(state, reqs, caps, loads) -> None:
+    """The open bits are every row up to the furthest destination minus
+    every loaded edge, that is every edge of every route, and the congestion
+    is the largest load over its capacity."""
+    width = len(state.open["f"])
+    ones = (1 << max(r.b for r in reqs)) - 1
+    bits = {"s": [ones] * width, "f": [ones] * width}
     for k, r, c in loads:
         bits[k][c] &= ~(1 << r)
     assert state.open == bits
-    assert state.congestion == max([x / cap_of(state, k) for (k, _, _), x in loads.items()],
+    assert state.congestion == max([x / caps[k] for (k, _, _), x in loads.items()],
                                    default=0.0)
 
 
@@ -369,20 +354,9 @@ def wide_band():
 @example(wide_band())
 def test_open_bits_match_loads_after_a_solve(inputs):
     mcf, (state,) = solve_keeping_states(*inputs)
-    check_state_against_loads(state, inputs[0], replayed_loads(state))
+    reqs, _, store_cap, fwd_cap, _ = inputs
+    check_state_against_loads(state, reqs, {"s": store_cap, "f": fwd_cap}, replayed_loads(state))
     assert mcf.congestion == state.congestion
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 70), st.lists(st.tuples(st.integers(0, 70), st.integers(0, 70),
-                                              st.integers(1, 2**12 - 1)), max_size=12))
-def test_window_bits_or_each_mask_into_its_columns(width, windows):
-    windows = [(min(lo, width), min(hi, width), m) for lo, hi, m in windows]
-    want = [0] * width
-    for lo, hi, m in windows:
-        for c in range(lo, hi):
-            want[c] |= m
-    assert flow._window_bits(width, windows) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -397,7 +371,7 @@ def test_every_load_is_zero_or_one_quantum(inputs, k):
     assert cap <= 0.5
     mcf, (state,) = solve_keeping_states(reqs, n, cap, cap, hops)
     assert set(replayed_loads(state).values()) <= {cap}
-    assert all(q == cap for f in mcf.flows for q, _ in f.paths)
+    assert all(q == cap for f in mcf.flows for q, *_ in f.routes)
     assert mcf.congestion in (0.0, 1.0)
 
 
@@ -412,18 +386,17 @@ def test_turn_without_residual_path_runs_no_dp():
 
 def test_precheck_on_hand_built_windows():
     # the bitset fill that once only pre-checked a window for a residual
-    # path now returns the path. One window of two rows and two columns:
+    # path now finds the path. One window of two rows and two columns:
     # paths ff, sff and fsf
     req = PacketRequest(0, 0, 2, 0)
+    assert flow._PackState([req], [3], 1.0, 1.0).take(0, 1.0) == (1.0, "ff")
     state = flow._PackState([req], [3], 1.0, 1.0)
-    assert state.open_path(req, 0, 1) == runs_of(0, "ff")
-    for row, col in ((1, 0), (0, 1)):
-        assert route_moves(state, row, col, "f", 1.0) == 1.0
-    # only fsf is left: a store detour around the saturated forward edge (1, 0)
-    assert state.open_path(req, 0, 1) == runs_of(0, "fsf") == [(0, 1), (1, 2)]
-    # with every forward edge out of row 1 saturated, nothing is left
-    route_moves(state, 1, 1, "f", 1.0)
-    assert state.open_path(req, 0, 1) is None
+    close(state, 1, 0, "f")
+    close(state, 0, 1, "f")
+    # only fsf is left: a store detour around the closed forward edge (1, 0)
+    assert state.take(0, 1.0) == (1.0, "fsf")
+    # fsf closed the last forward edge out of row 1, so nothing is left
+    assert state.take(0, 1.0) is None
 
 
 def test_straight_path_shortcut_on_hand_built_windows():
@@ -434,89 +407,93 @@ def test_straight_path_shortcut_on_hand_built_windows():
     def fresh():
         return flow._PackState([req], [4], 1.0, 1.0)
 
-    assert fresh().open_path(req, 0, 1) == runs_of(0, "fff")
-    # a saturated store in row a+1 leaves the straight path open
+    assert fresh().take(0, 1.0) == (1.0, "fff")
+    # a closed store in row a+1 leaves the straight path open
     state = fresh()
-    assert route_moves(state, 1, 0, "s", 1.0) == 1.0
-    assert state.open_path(req, 0, 1) == runs_of(0, "fff")
-    # a route of half the cap closes its forward edge all the same
+    close(state, 1, 0, "s")
+    assert state.take(0, 1.0) == (1.0, "fff")
+    # a route of half the cap closes its forward edges all the same
     state = fresh()
-    assert route_moves(state, 1, 0, "f", 0.5) == 0.5
-    assert state.open_path(req, 0, 1) == runs_of(0, "sfff")
+    assert state.take(0, 0.5) == (0.5, "fff")
+    assert state.take(0, 0.5) == (0.5, "sfff")
     # one store is needed, and sfff, fsff and ffsf all take one: walking
     # back forward before store puts it first
     state = fresh()
-    assert route_moves(state, 2, 0, "f", 1.0) == 1.0
-    assert state.open_path(req, 0, 1) == runs_of(0, "sfff")
-    # with store (0, 0) saturated too, the store moves down a row
-    assert route_moves(state, 0, 0, "s", 1.0) == 1.0
-    assert state.open_path(req, 0, 1) == runs_of(0, "fsff")
+    close(state, 2, 0, "f")
+    assert state.take(0, 1.0) == (1.0, "sfff")
+    # with store (0, 0) closed too, the store moves down a row
+    state = fresh()
+    close(state, 2, 0, "f")
+    close(state, 0, 0, "s")
+    assert state.take(0, 1.0) == (1.0, "fsff")
 
 
 class Booked:
     """A pack state beside its loads, booked route by route, whose every
-    ``route`` is checked against its per-edge meaning: the quantum, the
-    loads on the path, the open bits and the congestion."""
+    ``take`` is checked against its per-edge meaning: the path was open,
+    and the quantum, the loads on the path, the open bits and the
+    congestion."""
 
     def __init__(self, reqs, hops, store_cap, fwd_cap):
         self.reqs = reqs
+        self.caps = {"s": store_cap, "f": fwd_cap}
         self.state = flow._PackState(reqs, hops, store_cap, fwd_cap)
         self.loads: dict[tuple[str, int, int], float] = {}
 
-    def route(self, row: int, g0: int, moves: str, demand: float) -> float:
+    def take(self, i: int, demand: float) -> tuple[float, str] | None:
         state, loads = self.state, self.loads
-        path = list(GridPath(row, g0, moves).edges())
-        is_open = all(state.open[k][c] >> r & 1 for k, r, c in path)
-        quantum = route_moves(state, row, g0, moves, demand)
-        if not is_open:
-            assert quantum == 0.0  # a closed edge takes no second route
-        else:
-            assert quantum == min([demand, *(cap_of(state, k) for k, _, _ in path)])
-            for e in path:
-                assert e not in loads
-                loads[e] = quantum
-        check_state_against_loads(state, self.reqs, loads)
-        return quantum
+        before = copy.deepcopy(state.open)
+        got = state.take(i, demand)
+        if got is None:
+            assert state.open == before  # no path closes nothing
+            return None
+        quantum, moves = got
+        a, _, g0, _ = state.windows[i]
+        assert is_open(before, a, g0, moves)
+        path = list(GridPath(a, g0, moves).edges())
+        assert quantum == min([demand, *(self.caps[k] for k, _, _ in path)])
+        for e in path:
+            assert e not in loads
+            loads[e] = quantum
+        check_state_against_loads(state, self.reqs, self.caps, loads)
+        return got
 
 
 def test_route_updates_loads_and_open_bits():
     reqs = [PacketRequest(0, 0, 4, 1), PacketRequest(1, 1, 5, 2)]
     booked = Booked(reqs, [9, 8], 0.7, 1.3)
     state = booked.state
-    assert state.gcol0 == [0, 0]
-    # a path that starts with a store and has two stores in a row, so one
-    # column's forward run is empty; it closes though it carries less than
-    # either cap
-    assert booked.route(0, 0, "ssffsff", 0.3) == 0.3
-    # the second path's run closes rows 0-3 of column 0 with one mask, and a
-    # third path through rows 1-3 there routes nothing and closes nothing
-    assert booked.route(0, 0, "ffff", 0.6) == 0.6
-    assert booked.route(1, 0, "ffff", 0.9) == 0.0
+    assert state.windows == [(0, 4, 0, 5), (1, 4, 0, 4)]
+    # the straight path closes though it carries less than its cap
+    assert booked.take(0, 0.3) == (0.3, "ffff")
+    # its run closed rows 0-3 of column 0 with one mask, so request 1
+    # stores first, and the store cap bounds its quantum
+    assert booked.take(1, 0.9) == (0.7, "sffff")
     assert [state.open["f"][0] >> r & 1 for r in range(5)] == [0, 0, 0, 0, 1]
-    # the open forward edge left in row 4 takes a full forward cap
-    assert booked.route(4, 0, "f", 2.0) == 1.3
+    assert state.open["s"][0] >> 1 & 1 == 0
+    # request 0's origin has only its store left, and its fewest-store path
+    # stores twice in a row, so column 1's forward run is empty
+    assert booked.take(0, 0.7) == (0.7, "ssffff")
     assert state.congestion == 1.0
-    # with the caps swapped, the forward cap bounds the quantum, and the
-    # stores close as well as both runs of sffsff
+    # both of request 0's origin out-edges are closed: no third route
+    assert booked.take(0, 1.0) is None
+    # with the caps swapped, the forward cap bounds the quantum
     booked = Booked(reqs, [9, 8], 1.3, 0.7)
     state = booked.state
-    assert booked.route(0, 0, "sffsff", 1.0) == 0.7
-    assert [state.open["f"][1] >> 0 & 3, state.open["f"][2] >> 2 & 3] == [0, 0]
-    assert [state.open["s"][0] & 1, state.open["s"][1] >> 2 & 1] == [0, 0]
+    assert booked.take(0, 1.0) == (0.7, "ffff")
+    assert booked.take(1, 1.0) == (0.7, "sffff")
+    assert [state.open["f"][1] >> 1 & 0b1111, state.open["s"][0] >> 1 & 1] == [0, 0]
 
     booked = Booked(reqs, [9, 8], 0.7, 1.3)
-    state = booked.state
     rng = np.random.default_rng(3)
     routed = Counter()
     for step in range(40):
         i = step % 2
-        r, g0, s = reqs[i], state.gcol0[i], state.slack[i]
-        stores = int(rng.integers(0, s + 1))
-        moves = "".join(rng.permutation(["f"] * (r.distance - 1) + ["s"] * stores)) + "f"
-        if booked.route(r.a, g0, moves, float(rng.uniform(0.05, 0.6))) > 0.0:
+        if booked.take(i, float(rng.uniform(0.05, 0.6))) is not None:
             routed[i] += 1
     # each route closes one of its origin's two out-edges, so no request
-    # routes more than twice
+    # routes more than twice; request 0's first route took the forward edge
+    # out of request 1's origin, so request 1 routes once
     assert routed == {0: 2, 1: 1}
 
 
@@ -524,20 +501,17 @@ def solve_recording_routes(*args) -> tuple[FractionalMCF, list, Counter]:
     """Solve and record every route as ``(request id, quantum, edge keys)``,
     the keys spelled out per edge in path order and grid columns, and count
     each request's turns."""
+    reqs = sorted(args[0], key=lambda r: r.id)
     calls, turns = [], Counter()
 
     class Recording(flow._PackState):
-        def open_path(self, req, g0, s):
-            self.req_id = req.id
-            turns[req.id] += 1
-            return super().open_path(req, g0, s)
-
-        def route(self, col, runs, demand):
-            quantum = super().route(col, runs, demand)
-            path = GridPath(runs[0][0], col, moves_of(runs))
-            keys = [(k, r, c + self.off) for k, r, c in path.edges()]
-            calls.append((self.req_id, quantum, keys if quantum > 0.0 else []))
-            return quantum
+        def take(self, i, demand):
+            turns[reqs[i].id] += 1
+            got = super().take(i, demand)
+            if got is not None:
+                path = GridPath(*request_origin(reqs[i]), got[1])
+                calls.append((reqs[i].id, got[0], list(path.edges())))
+            return got
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(flow, "_PackState", Recording)
@@ -574,13 +548,13 @@ def test_a_route_never_reuses_an_edge_of_an_earlier_route():
 @example(wide_band())
 def test_routes_are_edge_disjoint_and_at_most_two_per_request(inputs):
     # every route closes its path, one of its origin cell's two out-edges
-    # included, so no turn after a request's second route finds a path
+    # included, so a request with two routes takes no third turn
     _, _, store_cap, fwd_cap, _ = inputs
     mcf, calls, turns = solve_recording_routes(*inputs)
     keys = [key for _, _, path in calls for key in path]
     assert len(keys) == len(set(keys))
-    assert max(Counter(i for i, q, _ in calls if q > 0.0).values(), default=0) <= 2
-    assert max(turns.values()) <= 3
+    assert max(Counter(i for i, _, _ in calls).values(), default=0) <= 2
+    assert max(turns.values()) <= 2
     raw = dict.fromkeys(turns, 0.0)
     for i, quantum, path in calls:
         caps = {store_cap if k == "s" else fwd_cap for k, _, _ in path}
@@ -596,9 +570,10 @@ def test_edge_maps_from_paths_match_per_route_booking(inputs):
     # order as booking each route's edges as it is routed
     mcf, calls, _ = solve_recording_routes(*inputs)
     for f in mcf.flows:
-        assert "edges" not in f.__dict__  # built on first read only
+        assert "paths" not in f.__dict__ and "edges" not in f.__dict__  # built on first read only
         assert [(q, list(p.edges())) for q, p in f.paths] == [
-            (q, keys) for i, q, keys in calls if i == f.request.id and q > 0.0]
+            (q, keys) for i, q, keys in calls if i == f.request.id]
+        assert f.paths is f.paths
         assert list(f.edges.items()) == list(booked_edges(calls, f.request.id).items())
         assert f.edges is f.edges
 
@@ -626,11 +601,13 @@ def solve_keeping_flows(inst, seed: int) -> tuple[list[SingleFlow], dict]:
 
 def test_solve_builds_no_edge_maps():
     # rounding picks whole paths, so no flow of any fractional solve ever
-    # sums its paths into an edge map
+    # sums its paths into an edge map, and only the flows its coin accepts
+    # build their paths
     flows, rounded = solve_keeping_flows(gen_random_instance(64, 1, 1, 150, seed=5), 5)
     assert rounded and len(flows) > 10 * len(rounded)
     for f in flows:
         assert "edges" not in f.__dict__, f.request.id
+        assert ("paths" in f.__dict__) == (f.request.id in rounded), f.request.id
 
 
 def test_solve_at_caps_above_one_half_closes_partly_filled_paths():
@@ -652,6 +629,208 @@ def test_solve_at_caps_above_one_half_closes_partly_filled_paths():
     assert verdict.accepted == len(packing)
 
 
+@st.composite
+def deadline_instances(draw):
+    """Small random instances with deadlines and, mostly, B != c."""
+    n = draw(st.integers(8, 48))
+    return gen_random_instance(n, draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+                               draw(st.integers(5, 60)),
+                               seed=draw(st.integers(0, 2**31 - 1)),
+                               deadline_slack=draw(st.integers(0, 8)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(deadline_instances(), st.integers(0, 100))
+def test_first_routes_of_each_lambda_solve_form_a_valid_schedule(inst, seed):
+    # one route per flow is a set of edge-disjoint paths inside windows the
+    # deadlines clip, so it is a schedule at any B, c >= 1
+    solves = []
+
+    def keeping(*args, **kwargs):
+        solves.append(max_throughput_mcf(*args, **kwargs))
+        return solves[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "max_throughput_mcf", keeping)
+        pipeline.solve_instance(inst, seed=seed)
+    for mcf in solves:
+        first = {f.request.id: f.paths[0][1] for f in mcf.flows if f.routes}
+        verdict = validate_schedule(inst, packing_to_schedule(inst, first))
+        assert verdict.ok, verdict.violations
+        assert verdict.accepted == len(first)
+
+
+# ---------------------------------------------------------------------------
+# The reference packing: the solver as it was before one turn filled, walked
+# back and closed its path in one loop.  Window bitsets, the path search and
+# a close that re-checks every edge are three steps, and every request turns
+# until it is full or finds no path.
+
+def _window_bits(width: int, windows) -> list[int]:
+    """One Python int per column of ``width``, bit = row: the OR of every
+    window ``(first column, end column, row mask)`` over its columns.
+
+    Each mask goes into the O(log width) nodes of a segment tree over the
+    columns that tile its range (Bentley 1977), and one pass pushes every
+    node into its children, so the leaves end up as the columns' bits.
+    """
+    size = 1 << max(width - 1, 0).bit_length()
+    tree = [0] * (2 * size)
+    for lo, hi, mask in windows:
+        lo += size
+        hi += size
+        while lo < hi:
+            if lo & 1:
+                tree[lo] |= mask
+                lo += 1
+            if hi & 1:
+                hi -= 1
+                tree[hi] |= mask
+            lo >>= 1
+            hi >>= 1
+    for i in range(1, size):
+        tree[2 * i] |= tree[i]
+        tree[2 * i + 1] |= tree[i]
+    return tree[size:size + width]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 70), st.lists(st.tuples(st.integers(0, 70), st.integers(0, 70),
+                                              st.integers(1, 2**12 - 1)), max_size=12))
+def test_window_bits_or_each_mask_into_its_columns(width, windows):
+    windows = [(min(lo, width), min(hi, width), m) for lo, hi, m in windows]
+    want = [0] * width
+    for lo, hi, m in windows:
+        for c in range(lo, hi):
+            want[c] |= m
+    assert _window_bits(width, windows) == want
+
+
+def moves_of(runs: list[tuple[int, int]]) -> str:
+    """A window path's moves from its forward run in each column."""
+    return "s".join("f" * (r1 - r0) for r0, r1 in runs)
+
+
+class ReferencePackState:
+    """Open-edge bitsets, set only inside some request's window."""
+
+    def __init__(self, reqs, hops, store_cap, fwd_cap):
+        self.store_cap = store_cap
+        self.fwd_cap = fwd_cap
+        cols0 = [r.t - r.a for r in reqs]
+        slacks = [hops[i] - r.distance for i, r in enumerate(reqs)]
+        self.off = min(cols0)
+        self.W = max(c0 + s for c0, s in zip(cols0, slacks)) - self.off + 1
+        self.gcol0 = [c0 - self.off for c0 in cols0]
+        self.slack = slacks
+        stores, fwds = [], []
+        for r, g0, s in zip(reqs, self.gcol0, slacks):
+            rows = ((1 << r.distance) - 1) << r.a
+            stores.append((g0, g0 + s, rows))
+            fwds.append((g0, g0 + s + 1, rows))
+        self.open = {"s": _window_bits(self.W, stores), "f": _window_bits(self.W, fwds)}
+        self.congestion = 0.0
+
+    def route(self, col, runs, demand) -> float:
+        """Push ``min(demand, cap of each edge kind on the path)`` along the
+        path given by its forward run in each column from ``col`` on, and
+        close it; 0 for a path through a closed edge."""
+        fwds, stores = [], []  # (column, row mask)
+        for c, (r0, r1) in enumerate(runs, col):
+            if r1 > r0:
+                fwds.append((c, ((1 << (r1 - r0)) - 1) << r0))
+            stores.append((c, 1 << r1))
+        stores.pop()  # the path ends in the last run's column
+        kinds = [(self.open[kind], cap, masks)
+                 for kind, cap, masks in (("f", self.fwd_cap, fwds),
+                                          ("s", self.store_cap, stores)) if masks]
+        if any(bits[c] & m != m for bits, _, masks in kinds for c, m in masks):
+            return 0.0
+        quantum = min([demand, *(cap for _, cap, _ in kinds)])
+        for bits, cap, masks in kinds:
+            for c, m in masks:
+                bits[c] &= ~m
+            self.congestion = max(self.congestion, quantum / cap)
+        return quantum
+
+    def open_path(self, req, g0, s):
+        """The fewest-store open path as its forward run in each window
+        column, ``(first row, end row)``, or None."""
+        a, d = req.a, req.distance
+        full = (1 << d) - 1
+        store, fwd = self.open["s"], self.open["f"]
+        last = g0 + s
+        above = []
+        x = 1
+        for col in range(g0, last + 1):
+            m = ((fwd[col] >> a) & full) << 1
+            e = (x << 1) & m
+            x |= e | (m & ~(m + e))
+            above.append((x << 1) & m)
+            if x >> d:
+                break
+            x &= store[col] >> a if col < last else 0
+            if not x:
+                return None
+        k = d
+        runs = []
+        for up in reversed(above):
+            top = (~up & ((2 << k) - 1)).bit_length() - 1
+            runs.append((a + top, a + k))
+            k = top
+        runs.reverse()
+        return runs
+
+
+def reference_mcf(requests, n, store_cap, fwd_cap, hop_bounds) -> FractionalMCF:
+    """The reference solve: round-robin turns until each request is full or
+    finds no open path."""
+    reqs = sorted(requests, key=lambda r: r.id)
+    M = len(reqs)
+    if M == 0:
+        return FractionalMCF((), 0.0, 0.0, 0.0, 0, False)
+    state = ReferencePackState(reqs, [hop_bounds[r.id] for r in reqs], store_cap, fwd_cap)
+    raw = [0.0] * M
+    routes = [[] for _ in range(M)]
+    active = deque(range(M))
+    while active:
+        i = active.popleft()
+        r = reqs[i]
+        g0 = state.gcol0[i]
+        runs = state.open_path(r, g0, state.slack[i])
+        if runs is None:
+            continue
+        quantum = state.route(g0, runs, 1.0 - raw[i])
+        routes[i].append((quantum, r.a, g0 + state.off, moves_of(runs)))
+        raw[i] += quantum
+        if raw[i] < 1.0 - 1e-12:
+            active.append(i)
+    flows = tuple(SingleFlow(request=r, amount=min(raw[i], 1.0), routes=tuple(routes[i]))
+                  for i, r in enumerate(reqs))
+    primal = sum(f.amount for f in flows)
+    dual_bound = max(primal, min(float(M), origin_cut(reqs, store_cap, fwd_cap)))
+    return FractionalMCF(flows, dual_bound, state.congestion, 1.0 - primal / dual_bound, 0, False)
+
+
+@st.composite
+def scaled_cap_inputs(draw):
+    """Sweep and tiny inputs at the pipeline's caps lam * k for k up to 16,
+    the two caps equal or not."""
+    reqs, n, _, _, hops = draw(st.one_of(sweep_inputs(), tiny_mcf_inputs()))
+    ks = draw(st.integers(1, 16))
+    kf = draw(st.one_of(st.just(ks), st.integers(1, 16)))
+    return reqs, n, ks * capacity_scale(), kf * capacity_scale(), hops
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(sweep_inputs(), tiny_mcf_inputs(), scaled_cap_inputs()))
+@example(wide_band())
+@example((wide_band()[0], 40, 16 * capacity_scale(), 16 * capacity_scale(), wide_band()[4]))
+def test_take_matches_the_reference_packing(inputs):
+    # flows, routes, congestion, dual bound and certificate gap alike
+    assert repr(max_throughput_mcf(*inputs)) == repr(reference_mcf(*inputs))
+
+
 # ---------------------------------------------------------------------------
 # Rounding.
 
@@ -659,9 +838,8 @@ def hand_flow() -> SingleFlow:
     # amount 0.8 over a 2-forward request released at t=2 from node 0;
     # conservation holds at every interior cell
     req = PacketRequest(0, 0, 2, 2)
-    paths = ((0.3, GridPath(0, 2, "ff")), (0.2, GridPath(0, 2, "fsf")),
-             (0.3, GridPath(0, 2, "sff")))
-    sf = SingleFlow(request=req, amount=0.8, paths=paths)
+    routes = ((0.3, 0, 2, "ff"), (0.2, 0, 2, "fsf"), (0.3, 0, 2, "sff"))
+    sf = SingleFlow(request=req, amount=0.8, routes=routes)
     assert sf.edges == {
         ("f", 0, 2): 0.5,
         ("s", 0, 2): 0.3,
