@@ -108,9 +108,9 @@ def truncate_fractional(mcf: FractionalMCF, d: int, *,
     flows = []
     loads: dict[tuple[str, int, int], float] = defaultdict(float)
     for f in mcf.flows:
-        # the rewrite keeps each path's first cell
+        # the rewrite keeps each path's first cell, the request's origin
         flow = SingleFlow(f.request, f.amount * rho,
-                          tuple((w * rho, p.row, p.col, truncate_path(p, d)[0].moves)
+                          tuple((w * rho, truncate_path(p, d)[0].moves)
                                 for w, p in f.paths))
         for e, w in flow.edges.items():
             loads[e] += w

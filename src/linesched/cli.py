@@ -20,10 +20,9 @@ from .grid import (ScheduleFormatError, load_schedule, packing_to_schedule,
 from .model import (Instance, InstanceFormatError, SolverInvariantError,
                     check_generator_args, gen_random_instance,
                     instance_to_json, load_instance, save_instance)
-from .pipeline import CATEGORY_CHOICES, report_to_json, solve_instance
+from .pipeline import CATEGORY_CHOICES, StageTrace, report_to_json, solve_instance
 
-_CSV_COLUMNS = ["seed", "n", "B", "c", "M", "category",
-                "R_rnd", "R_fltr", "R_quad", "R_final",
+_CSV_COLUMNS = ["seed", "n", "B", "c", "M", "category", *StageTrace().counts(),
                 "alg", "frac_bound", "ratio"]
 
 _RUN_DEFAULTS = {
@@ -151,18 +150,16 @@ def _bench_row(run: dict, seed: int) -> dict[str, object]:
         run["n"], run["B"], run["c"], run["M"],
         arrival_rate=run["arrival_rate"], distance=run["distance"],
         seed=seed, deadline_slack=run["deadline_slack"])
-    _, report = solve_instance(inst, seed=seed, category=run["category"])
+    packing, report = solve_instance(inst, seed=seed, category=run["category"])
     alg = report.throughput
     fb = report.frac_bound
-    trace = report.traces.get(report.category)
     # short bands keep no stage trace: everything they deliver is final
-    stage = trace.counts() if trace else {"R_rnd": 0, "R_fltr": 0,
-                                          "R_quad": 0, "R_final": alg}
+    trace = report.traces.get(report.category) or StageTrace(final=tuple(packing))
     return {
         "seed": seed,
         "n": run["n"], "B": run["B"], "c": run["c"], "M": run["M"],
         "category": report.category,
-        **stage,
+        **trace.counts(),
         "alg": alg,
         "frac_bound": fb,
         "ratio": alg / fb if fb > 0 else 1.0,
@@ -171,12 +168,10 @@ def _bench_row(run: dict, seed: int) -> dict[str, object]:
 
 def _aggregate_rows(rows: list[dict]) -> list[dict[str, object]]:
     """Mean and 95% CI half-width rows over one config group."""
-    numeric = ["R_rnd", "R_fltr", "R_quad", "R_final",
-               "alg", "frac_bound", "ratio"]
-    fixed = {k: rows[0][k] for k in ("n", "B", "c", "M")}
+    fixed = {k: rows[0][k] for k in _CSV_COLUMNS[1:5]}
     mean_row: dict[str, object] = {"seed": "mean", "category": "-", **fixed}
     ci_row: dict[str, object] = {"seed": "ci95_half", "category": "-", **fixed}
-    for col in numeric:
+    for col in _CSV_COLUMNS[6:]:
         vals = [float(r[col]) for r in rows]
         mean_row[col] = statistics.fmean(vals)
         half = 0.0

@@ -44,11 +44,11 @@ costs far fewer steps than the window has rows.  It then walks the path
 back from the destination, one forward run per column joined by single
 stores, and closes each run with one mask and each store with one bit as
 it goes; the walk follows open edges only, so nothing needs checking
-again.  The solver keeps each route as ``(quantum, row, col, moves)``, and
-a flow builds its ``GridPath`` pairs (``SingleFlow.paths``) and its
-per-edge map (``SingleFlow.edges``) only when something reads them:
-rounding reads the paths of the requests its coin accepts, and no solve
-path reads an edge map.
+again.  The solver keeps each route as ``(quantum, moves)``, as every
+route starts at its request's origin, and a flow builds its ``GridPath``
+pairs (``SingleFlow.paths``) and its per-edge map (``SingleFlow.edges``)
+only when something reads them: rounding reads the paths of the requests
+its coin accepts, and no solve path reads an edge map.
 
 The dual bound is ``min(M, origin_cut)``, the request count and the origin
 cut, each of which bounds the fractional optimum, raised to the primal if
@@ -83,8 +83,8 @@ __all__ = [
 class SingleFlow:
     """Scaled flow of one request: total amount and weighted routes.
 
-    ``routes`` holds one ``(quantum, row, col, moves)`` tuple per route, in
-    route order: the quantum and the path's first cell and moves.  ``paths``
+    ``routes`` holds one ``(quantum, moves)`` pair per route, in route
+    order; every route starts at the request's origin cell.  ``paths``
     holds the same routes as ``(quantum, GridPath)`` pairs, and ``edges``
     maps each edge key ``(kind, row, col)``, kind ``"s"`` or ``"f"`` and the
     tail cell in untilted coordinates, to the summed quanta of the paths
@@ -95,11 +95,12 @@ class SingleFlow:
 
     request: PacketRequest
     amount: float
-    routes: tuple[tuple[float, int, int, str], ...]
+    routes: tuple[tuple[float, str], ...]
 
     @cached_property
     def paths(self) -> tuple[tuple[float, GridPath], ...]:
-        return tuple((q, GridPath(row, col, moves)) for q, row, col, moves in self.routes)
+        row, col = request_origin(self.request)
+        return tuple((q, GridPath(row, col, moves)) for q, moves in self.routes)
 
     @cached_property
     def edges(self) -> dict[tuple[str, int, int], float]:
@@ -270,7 +271,7 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
             raise ValueError(f"request {r.id}: hop bound {h} below distance {r.distance}")
     state = _PackState(reqs, hops, store_cap, fwd_cap)
     raw = [0.0] * M
-    routes: list[tuple[tuple[float, int, int, str], ...]] = [()] * M
+    routes: list[tuple[tuple[float, str], ...]] = [()] * M
 
     def turn(i: int) -> bool:
         """Take one route for request i; True if it wants a second."""
@@ -278,8 +279,7 @@ def max_throughput_mcf(requests: Sequence[PacketRequest], n: int,
         if got is None:
             return False  # no open path left; edges only close, so for good
         quantum, moves = got
-        r = reqs[i]
-        routes[i] += ((quantum, r.a, r.t - r.a, moves),)
+        routes[i] += ((quantum, moves),)
         raw[i] += quantum
         return raw[i] < 1.0 - 1e-12
 
@@ -318,7 +318,7 @@ def randomized_round(flows: Iterable[SingleFlow], master_seed: int) -> dict[int,
         rng = request_rng(master_seed, sf.request.id)
         if rng.random() >= min(sf.amount, 1.0):
             continue
-        pick = rng.random() * sum(q for q, *_ in sf.routes)
+        pick = rng.random() * sum(q for q, _ in sf.routes)
         # a pick that float rounding leaves at or past the sum takes the last route
         for q, path in sf.paths:
             pick -= q

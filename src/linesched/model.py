@@ -337,6 +337,14 @@ def check_generator_args(n: int, M: int, arrival_rate: float,
         raise ValueError("M must be nonnegative")
     if not arrival_rate > 0.0:
         raise ValueError("arrival_rate must be positive")
+    # release times are drawn below horizon + 1, which must fit an int64
+    try:
+        horizon = math.ceil(M / arrival_rate)
+    except OverflowError:  # an infinite quotient
+        horizon = 2 ** 63
+    if horizon >= 2 ** 63:
+        raise ValueError(f"arrival_rate {arrival_rate!r} is too small for M = {M}: "
+                         f"the horizon M / arrival_rate must stay below 2**63")
     return _distance_law(distance, n)
 
 

@@ -185,7 +185,6 @@ def route_detailed(survivors: Mapping[int, tuple[GridPath, str]],
     """
     h = params.k // 2
     moves: dict[int, list[str]] = {}
-    alive: set[int] = set()
     pending: dict[tuple[tuple[int, int], str], list[tuple[int, str, int]]] = defaultdict(list)
 
     for rid in sorted(survivors):
@@ -193,7 +192,6 @@ def route_detailed(survivors: Mapping[int, tuple[GridPath, str]],
         tile = sketches[rid][0]
         row0, col0 = tiling.tile_origin(tile)
         end_r, end_c = sw_path.end
-        alive.add(rid)
         if side == "top":
             moves[rid] = [sw_path.moves, "f"]
             pending[(tile, "NW")].append((rid, "bottom", end_c - col0))
@@ -201,7 +199,7 @@ def route_detailed(survivors: Mapping[int, tuple[GridPath, str]],
             moves[rid] = [sw_path.moves, "s"]
             pending[(tile, "SE")].append((rid, "left", end_r - row0))
 
-    tiles = sorted({t for rid in alive for t in sketches[rid]},
+    tiles = sorted({t for rid in survivors for t in sketches[rid]},
                    key=lambda t: (t[0] + t[1], t[0]))
     dropped: list[int] = []
     lane_cap = params.filter_threshold + params.side_limit
@@ -214,7 +212,7 @@ def route_detailed(survivors: Mapping[int, tuple[GridPath, str]],
         ne: list[tuple[int, str, int]] = []
         for quad, exit_side, ne_side, axis in (("NW", "right", "left", 0),
                                                ("SE", "top", "bottom", 1)):
-            lane = [e for e in pending.pop((tile, quad), []) if e[0] in alive]
+            lane = pending.pop((tile, quad), [])
             if not len(lane) <= lane_cap <= h:
                 raise SolverInvariantError(f"{quad} lane budget exceeded")
             if lane:
@@ -226,7 +224,7 @@ def route_detailed(survivors: Mapping[int, tuple[GridPath, str]],
                     ne.append((rid, ne_side, p.end[axis]))
 
         exit_of: dict[int, str] = {}
-        terminals: list[int] = []
+        terminals: set[int] = set()
         for rid, _, _ in ne:
             sk = sketches[rid]
             idx = sk.index(tile)
@@ -237,7 +235,7 @@ def route_detailed(survivors: Mapping[int, tuple[GridPath, str]],
                 exit_of[rid] = "top"
             elif nxt is None:
                 exit_of[rid] = "top"
-                terminals.append(rid)
+                terminals.add(rid)
             else:
                 raise SolverInvariantError(f"sketch of {rid} skips a tile")
 
@@ -248,12 +246,10 @@ def route_detailed(survivors: Mapping[int, tuple[GridPath, str]],
                 raise SolverInvariantError("up-crossers alone exceed the side")
             for rid in sorted(terminals)[-excess:]:
                 dropped.append(rid)
-                alive.discard(rid)
                 del exit_of[rid]
-                terminals.remove(rid)
 
         entries = [CrossbarEntry(rid, side, off, exit_of[rid])
-                   for rid, side, off in ne if rid in alive]
+                   for rid, side, off in ne if rid in exit_of]
         if entries:
             prob = CrossbarProblem(h, h, tuple(sorted(
                 entries, key=lambda e: e.request_id)))
@@ -271,7 +267,7 @@ def route_detailed(survivors: Mapping[int, tuple[GridPath, str]],
         raise SolverInvariantError("undelivered traffic left over")
     planned: dict[int, GridPath] = {}
     delivered: dict[int, GridPath] = {}
-    for rid in sorted(alive):
+    for rid in sorted(survivors.keys() - set(dropped)):
         origin = request_origin(requests[rid])
         planned[rid] = GridPath(origin[0], origin[1], "".join(moves[rid]))
         delivered[rid] = _cut_at_delivery(planned[rid], requests[rid].b)

@@ -3,8 +3,9 @@
 Two subproblems of the medium/long pipeline, each solved exactly on its own:
 ``quadrant_route`` admits a maximum set of origins of a tile's SW quadrant
 to the quadrant's top and right edges by a max-flow, and ``route_crossbar``
-carries requests across one quadrant on edge-disjoint one-bend paths.
-``oracle`` checks both against brute force.
+carries requests across one quadrant on edge-disjoint one-bend paths, whose
+bends a closed-form assignment places (no search).  ``oracle`` checks both
+against brute force.
 
 The max flow is Dinic's (1970) on the quadrant's grid itself, with no graph
 built: flat per-cell lists hold the flow on each cell's unit up and right
@@ -278,7 +279,22 @@ def route_crossbar(problem: CrossbarProblem) -> dict[int, GridPath]:
     at its assigned row rho, using column edges [0, rho) and row edges
     [c, cols).  Same-orientation overlap is only possible in the two
     coincidence cases chi == c (needs rho <= r) and rho == r (needs
-    chi <= c); the assignment search enforces exactly those rules.
+    chi <= c).
+
+    The assignment is closed form: the left-to-top entries, by row, take
+    the columns free of straight-up lanes in ascending order, and the
+    bottom-to-right entries, by column, take the rows free of straight-right
+    lanes in ascending order.  Why no pair collides: let the left-to-top
+    rows be r_1 < ... < r_m, with columns chi_1 < ... < chi_m, the m
+    smallest free columns.  The j-th bottom-to-right entry, at column c,
+    gets rho_j, the j-th free row, and collides with entry i only if
+    (chi_i == c and rho_j > r_i) or (rho_j == r_i and chi_i > c).  If c is
+    no chi_i, it is a free column above all of them, so neither case holds.
+    If c == chi_i, every earlier bottom-to-right entry sits at a free column
+    below chi_i, that is at one of chi_1 .. chi_{i-1}, so j <= i; rows
+    r_1 .. r_i are free, so rho_j <= r_i.  A collision through some
+    chi_i' > c needs i' > i, and then r_i' > r_i >= rho_j.  The side counts
+    leave enough free rows and columns for both zips.
     """
     if not problem.side_counts_fit():
         raise ValueError("exit side counts exceed quadrant side lengths")
@@ -287,51 +303,13 @@ def route_crossbar(problem: CrossbarProblem) -> dict[int, GridPath]:
                    if e.side == "bottom" and e.exit_side == "top"}
     straight_right = {e.offset for e in problem.entries
                       if e.side == "left" and e.exit_side == "right"}
-    lts = sorted((e for e in problem.entries
-                  if e.side == "left" and e.exit_side == "top"),
-                 key=lambda e: e.offset)
-    brs = sorted((e for e in problem.entries
-                  if e.side == "bottom" and e.exit_side == "right"),
-                 key=lambda e: e.offset)
-    free_cols = [c for c in range(cols) if c not in straight_up]
-    free_rows = [r for r in range(rows) if r not in straight_right]
-
-    lt_col: dict[int, int] = {}   # lt offset -> assigned column
-    br_row: dict[int, int] = {}   # br offset -> assigned row
-
-    def compatible(r: int, chi: int, c: int, rho: int) -> bool:
-        if chi == c and rho > r:
-            return False
-        if rho == r and chi > c:
-            return False
-        return True
-
-    def assign(idx: int) -> bool:
-        if idx == len(lts) + len(brs):
-            return True
-        if idx < len(lts):
-            r = lts[idx].offset
-            for chi in free_cols:
-                if chi in lt_col.values():
-                    continue
-                lt_col[r] = chi
-                if assign(idx + 1):
-                    return True
-                del lt_col[r]
-            return False
-        c = brs[idx - len(lts)].offset
-        for rho in free_rows:
-            if rho in br_row.values():
-                continue
-            if all(compatible(r, chi, c, rho) for r, chi in lt_col.items()):
-                br_row[c] = rho
-                if assign(idx + 1):
-                    return True
-                del br_row[c]
-        return False
-
-    if not assign(0):
-        raise SolverInvariantError("one-bend assignment search failed on fitting side counts")
+    lts = sorted(e.offset for e in problem.entries
+                 if e.side == "left" and e.exit_side == "top")
+    brs = sorted(e.offset for e in problem.entries
+                 if e.side == "bottom" and e.exit_side == "right")
+    # entry row -> bend column, entry column -> bend row
+    lt_col = dict(zip(lts, (c for c in range(cols) if c not in straight_up)))
+    br_row = dict(zip(brs, (r for r in range(rows) if r not in straight_right)))
 
     out: dict[int, GridPath] = {}
     for e in problem.entries:
@@ -340,11 +318,9 @@ def route_crossbar(problem: CrossbarProblem) -> dict[int, GridPath]:
         elif e.side == "left" and e.exit_side == "right":
             path = GridPath(e.offset, 0, "s" * cols)
         elif e.side == "left":
-            chi = lt_col[e.offset]
-            path = GridPath(e.offset, 0, "s" * chi + "f" * (rows - e.offset))
+            path = GridPath(e.offset, 0, "s" * lt_col[e.offset] + "f" * (rows - e.offset))
         else:
-            rho = br_row[e.offset]
-            path = GridPath(0, e.offset, "f" * rho + "s" * (cols - e.offset))
+            path = GridPath(0, e.offset, "f" * br_row[e.offset] + "s" * (cols - e.offset))
         out[e.request_id] = path
 
     used: set[tuple[str, int, int]] = set()

@@ -212,7 +212,7 @@ def test_criterion_04_constants():
 
 def test_criterion_05_rounding_unbiasedness():
     req = PacketRequest(0, 0, 2, 1)
-    routes = ((0.3, 0, 1, "ff"), (0.1, 0, 1, "fsf"), (0.2, 0, 1, "sff"))
+    routes = ((0.3, "ff"), (0.1, "fsf"), (0.2, "sff"))
     edges = {("f", 0, 1): 0.4, ("s", 0, 1): 0.2, ("f", 0, 2): 0.2,
              ("f", 1, 1): 0.3, ("s", 1, 1): 0.1, ("f", 1, 2): 0.3}
     flow = SingleFlow(req, 0.6, routes)

@@ -309,7 +309,7 @@ def as_mcf(flows):
 def test_truncate_fractional_confined_flow_only_scales():
     req = PacketRequest(id=0, a=0, b=2, t=1)
     edges = {("s", 0, 1): 0.7, ("f", 0, 2): 0.7, ("f", 1, 2): 0.7}
-    mcf = as_mcf([SingleFlow(req, 0.7, ((0.7, 0, 1, "sff"),))])
+    mcf = as_mcf([SingleFlow(req, 0.7, ((0.7, "sff"),))])
     assert mcf.flows[0].edges == edges
     out = truncate_fractional(mcf, 6, store_cap=1.0, fwd_cap=1.0)
     flow = out.flows[0]

@@ -24,6 +24,18 @@ def test_gen_writes_canonical_instance(tmp_path, capsys):
     assert capsys.readouterr().out == path.read_text()
 
 
+@pytest.mark.parametrize("rate", ["5e-324", "1e-300"])
+def test_gen_rejects_an_arrival_rate_whose_horizon_overflows(tmp_path, capsys, rate):
+    out = tmp_path / "inst.json"
+    assert main(["gen", "--n", "16", "--M", "10", "--arrival-rate", rate,
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: arrival_rate {rate} is too small")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_solve_roundtrip_verifies(tmp_path, capsys):
     inst = _gen(tmp_path)
     sched = tmp_path / "sched.json"
@@ -169,7 +181,8 @@ def test_bench_config_validation(tmp_path, capsys):
             ("distance", "zipf", "unknown distance form"),
             ("n", 1, "need at least 2 nodes"),
             ("B", 0, "capacities must be >= 1"),
-            ("c", 0, "capacities must be >= 1")):
+            ("c", 0, "capacities must be >= 1"),
+            ("arrival_rate", 1e-300, "arrival_rate 1e-300 is too small")):
         bad = tmp_path / "bad_value.json"
         bad.write_text(json.dumps({"runs": [{"n": 16, "M": 5},
                                             {"n": 16, "M": 5, key: value}]}))

@@ -371,7 +371,7 @@ def test_every_load_is_zero_or_one_quantum(inputs, k):
     assert cap <= 0.5
     mcf, (state,) = solve_keeping_states(reqs, n, cap, cap, hops)
     assert set(replayed_loads(state).values()) <= {cap}
-    assert all(q == cap for f in mcf.flows for q, *_ in f.routes)
+    assert all(q == cap for f in mcf.flows for q, _ in f.routes)
     assert mcf.congestion in (0.0, 1.0)
 
 
@@ -801,7 +801,7 @@ def reference_mcf(requests, n, store_cap, fwd_cap, hop_bounds) -> FractionalMCF:
         if runs is None:
             continue
         quantum = state.route(g0, runs, 1.0 - raw[i])
-        routes[i].append((quantum, r.a, g0 + state.off, moves_of(runs)))
+        routes[i].append((quantum, moves_of(runs)))
         raw[i] += quantum
         if raw[i] < 1.0 - 1e-12:
             active.append(i)
@@ -838,7 +838,7 @@ def hand_flow() -> SingleFlow:
     # amount 0.8 over a 2-forward request released at t=2 from node 0;
     # conservation holds at every interior cell
     req = PacketRequest(0, 0, 2, 2)
-    routes = ((0.3, 0, 2, "ff"), (0.2, 0, 2, "fsf"), (0.3, 0, 2, "sff"))
+    routes = ((0.3, "ff"), (0.2, "fsf"), (0.3, "sff"))
     sf = SingleFlow(request=req, amount=0.8, routes=routes)
     assert sf.edges == {
         ("f", 0, 2): 0.5,

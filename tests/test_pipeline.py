@@ -4,6 +4,7 @@ import ast
 import math
 import random
 from collections import defaultdict
+from itertools import product
 from pathlib import Path
 from unittest.mock import patch
 
@@ -165,10 +166,49 @@ def test_crossbar_duplicate_entry_edge_rejected():
         ))
 
 
+def _check_crossbar_paths(prob, paths):
+    """Each entry's path starts at its entry cell and leaves by its exit
+    side, and no two paths share an edge."""
+    assert set(paths) == {e.request_id for e in prob.entries}
+    used = set()
+    for e in prob.entries:
+        path = paths[e.request_id]
+        start = (e.offset, 0) if e.side == "left" else (0, e.offset)
+        assert (path.row, path.col) == start
+        end_row, end_col = path.end
+        if e.exit_side == "top":
+            assert end_row == prob.rows and end_col < prob.cols
+        else:
+            assert end_col == prob.cols and end_row < prob.rows
+        for edge in path.edges():
+            assert edge not in used, (prob, edge)
+            used.add(edge)
+
+
+def test_crossbar_routes_every_fitting_layout_up_to_4x4():
+    # each boundary entry edge is empty, exits top or exits right
+    problems = 0
+    for rows in range(1, 5):
+        for cols in range(1, 5):
+            slots = [("left", r) for r in range(rows)] + \
+                    [("bottom", c) for c in range(cols)]
+            for layout in product((None, "top", "right"), repeat=len(slots)):
+                if layout.count("top") > cols or layout.count("right") > rows:
+                    continue
+                prob = CrossbarProblem(rows, cols, tuple(
+                    CrossbarEntry(i, side, off, exit_side)
+                    for i, ((side, off), exit_side) in enumerate(zip(slots, layout))
+                    if exit_side is not None))
+                _check_crossbar_paths(prob, route_crossbar(prob))
+                problems += 1
+    assert problems == 11160
+
+
 def test_crossbar_random_fitting_instances_route():
+    # quadrant sides reach h = 21 at n = 1024
     rng = random.Random(5)
     for trial in range(200):
-        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        rows, cols = rng.randint(1, 24), rng.randint(1, 24)
         sides = [("left", r) for r in range(rows)] + \
                 [("bottom", c) for c in range(cols)]
         rng.shuffle(sides)
@@ -186,8 +226,7 @@ def test_crossbar_random_fitting_instances_route():
             rights += exit_side == "right"
             entries.append(CrossbarEntry(i, side, off, exit_side))
         prob = CrossbarProblem(rows, cols, tuple(entries))
-        paths = route_crossbar(prob)      # must not raise; disjointness inside
-        assert set(paths) == {e.request_id for e in entries}
+        _check_crossbar_paths(prob, route_crossbar(prob))
 
 
 # ---------------------------------------------------------------------------
