@@ -33,11 +33,11 @@ print("amounts:", " ".join(f"{f.request.id}:{f.amount:.2f}"
                            for f in mcf.flows))
 
 # The most split-up request shows the weighted paths best.
-split = max(mcf.flows, key=lambda f: len(f.paths))
+split = max(mcf.flows, key=lambda f: len(f.routes))
 print(f"\nrequest {split.request.id} carries {split.amount:.3f} over "
-      f"{len(split.paths)} paths:")
-for amount, path in split.paths:
-    print(f"  {amount:.3f} on {path.moves!r}")
+      f"{len(split.routes)} paths:")
+for amount, moves in split.routes:
+    print(f"  {amount:.3f} on {moves!r}")
 
 # Round many times with independent seeds and compare the acceptance rate
 # of a partially routed request against its fractional amount.

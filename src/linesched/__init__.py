@@ -59,12 +59,5 @@ from .pipeline import (
     run_medium_long,
     solve_instance,
 )
-from .oracle import (
-    SizeLimitError,
-    crossbar_feasible_bruteforce,
-    fractional_optimum,
-    optimal_schedule,
-    quadrant_feasible_bruteforce,
-)
 
 __version__ = "0.1.0"

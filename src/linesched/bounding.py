@@ -30,10 +30,11 @@ from dataclasses import replace
 from typing import Mapping
 
 from .flow import FractionalMCF, SingleFlow
-from .grid import GridPath
+from .grid import GridPath, request_origin
 
 __all__ = [
     "first_boundary_after",
+    "flow_edges",
     "slab_index",
     "truncate_fractional",
     "truncate_integral",
@@ -79,6 +80,18 @@ def truncate_path(path: GridPath, d: int) -> tuple[GridPath, tuple[int, int] | N
     return GridPath(path.row, path.col, prefix + "f" * rest), (row, col)
 
 
+def flow_edges(flow: SingleFlow) -> dict[tuple[str, int, int], float]:
+    """Map each edge key ``(kind, row, col)`` of a flow's routes to the
+    summed quanta of the routes through it, added route by route in route
+    order, each route's edges in path order."""
+    origin = request_origin(flow.request)
+    out: dict[tuple[str, int, int], float] = {}
+    for quantum, moves in flow.routes:
+        for key in GridPath(*origin, moves).edges():
+            out[key] = out.get(key, 0.0) + quantum
+    return out
+
+
 def truncate_fractional(mcf: FractionalMCF, d: int, *,
                         store_cap: float, fwd_cap: float) -> FractionalMCF:
     """Bound every flow path by 2d and rescale back into the capacities.
@@ -109,10 +122,11 @@ def truncate_fractional(mcf: FractionalMCF, d: int, *,
     loads: dict[tuple[str, int, int], float] = defaultdict(float)
     for f in mcf.flows:
         # the rewrite keeps each path's first cell, the request's origin
-        flow = SingleFlow(f.request, f.amount * rho,
-                          tuple((w * rho, truncate_path(p, d)[0].moves)
-                                for w, p in f.paths))
-        for e, w in flow.edges.items():
+        origin = request_origin(f.request)
+        routes = tuple((w * rho, truncate_path(GridPath(*origin, moves), d)[0].moves)
+                       for w, moves in f.routes)
+        flow = SingleFlow(f.request, f.amount * rho, routes)
+        for e, w in flow_edges(flow).items():
             loads[e] += w
         flows.append(flow)
 

@@ -123,8 +123,10 @@ def _load_bench_config(path) -> list[dict]:
             raise ConfigError(f"runs[{i}]: missing keys {sorted(missing)}")
         merged = dict(_RUN_DEFAULTS, **row)
         seeds = merged["seeds"]
-        if not (isinstance(seeds, list) and seeds and all(_is_type(s, int) for s in seeds)):
-            raise ConfigError(f"runs[{i}]: seeds must be a non-empty list of integers, got {seeds!r}")
+        if not (isinstance(seeds, list) and seeds
+                and all(_is_type(s, int) and s >= 0 for s in seeds)):
+            raise ConfigError(f"runs[{i}]: seeds must be a non-empty list of nonnegative "
+                              f"integers, got {seeds!r}")
         for key, (kind, name) in _RUN_TYPES.items():
             if not _is_type(merged[key], kind):
                 raise ConfigError(f"runs[{i}]: {key} must be {name}, got {merged[key]!r}")
@@ -140,7 +142,8 @@ def _check_run_values(run: dict) -> None:
     """The value checks that generating and solving a run would make, made
     before the first run starts, so that a bad run leaves no partial report."""
     Instance(run["n"], run["B"], run["c"], ())
-    check_generator_args(run["n"], run["M"], run["arrival_rate"], run["distance"])
+    check_generator_args(run["n"], run["M"], run["arrival_rate"], run["distance"],
+                         min(run["seeds"]))
     if run["category"] not in CATEGORY_CHOICES:
         raise ValueError(f"unknown category {run['category']!r}")
 

@@ -45,10 +45,7 @@ back from the destination, one forward run per column joined by single
 stores, and closes each run with one mask and each store with one bit as
 it goes; the walk follows open edges only, so nothing needs checking
 again.  The solver keeps each route as ``(quantum, moves)``, as every
-route starts at its request's origin, and a flow builds its ``GridPath``
-pairs (``SingleFlow.paths``) and its per-edge map (``SingleFlow.edges``)
-only when something reads them: rounding reads the paths of the requests
-its coin accepts, and no solve path reads an edge map.
+route starts at its request's origin.
 
 The dual bound is ``min(M, origin_cut)``, the request count and the origin
 cut, each of which bounds the fractional optimum, raised to the primal if
@@ -61,7 +58,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .grid import GridPath, request_origin
@@ -84,31 +80,12 @@ class SingleFlow:
     """Scaled flow of one request: total amount and weighted routes.
 
     ``routes`` holds one ``(quantum, moves)`` pair per route, in route
-    order; every route starts at the request's origin cell.  ``paths``
-    holds the same routes as ``(quantum, GridPath)`` pairs, and ``edges``
-    maps each edge key ``(kind, row, col)``, kind ``"s"`` or ``"f"`` and the
-    tail cell in untilted coordinates, to the summed quanta of the paths
-    through it, added path by path in route order, each path's edges in
-    path order.  Both are built on first read and kept.  Rounding reads the
-    paths of the flows it accepts; no solve path reads an edge map.
+    order; every route starts at the request's origin cell.
     """
 
     request: PacketRequest
     amount: float
     routes: tuple[tuple[float, str], ...]
-
-    @cached_property
-    def paths(self) -> tuple[tuple[float, GridPath], ...]:
-        row, col = request_origin(self.request)
-        return tuple((q, GridPath(row, col, moves)) for q, moves in self.routes)
-
-    @cached_property
-    def edges(self) -> dict[tuple[str, int, int], float]:
-        out: dict[tuple[str, int, int], float] = {}
-        for quantum, path in self.paths:
-            for key in path.edges():
-                out[key] = out.get(key, 0.0) + quantum
-        return out
 
 
 @dataclass(frozen=True)
@@ -302,7 +279,7 @@ def randomized_round(flows: Iterable[SingleFlow], master_seed: int) -> dict[int,
 
     Every request uses its own random stream (``request_rng``), drawing first
     the acceptance coin (success probability ``|f_i|``) and then one uniform
-    that picks route k of its ``paths`` with probability ``q_k / sum q``, in
+    that picks route k of its ``routes`` with probability ``q_k / sum q``, in
     route order: a pick from the flow's path decomposition (Raghavan and
     Thompson, Combinatorica 1987), so ``Pr[e on the rounded path] = f_i(e)``
     for each edge e.  Results do not depend on the set or order of other
@@ -320,9 +297,9 @@ def randomized_round(flows: Iterable[SingleFlow], master_seed: int) -> dict[int,
             continue
         pick = rng.random() * sum(q for q, _ in sf.routes)
         # a pick that float rounding leaves at or past the sum takes the last route
-        for q, path in sf.paths:
+        for q, moves in sf.routes:
             pick -= q
             if pick < 0.0:
                 break
-        accepted[sf.request.id] = path
+        accepted[sf.request.id] = GridPath(*request_origin(sf.request), moves)
     return accepted

@@ -329,12 +329,14 @@ def _distance_law(distance: str, n: int) -> tuple[str, float]:
 
 
 def check_generator_args(n: int, M: int, arrival_rate: float,
-                         distance: str) -> tuple[str, float]:
+                         distance: str, seed: int) -> tuple[str, float]:
     """Raise ValueError for arguments ``gen_random_instance`` rejects before
     it draws anything, and return the parsed distance law.  ``n``, ``B``
     and ``c`` are checked by the ``Instance`` it returns."""
     if M < 0:
         raise ValueError("M must be nonnegative")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if not arrival_rate > 0.0:
         raise ValueError("arrival_rate must be positive")
     # release times are drawn below horizon + 1, which must fit an int64
@@ -362,7 +364,7 @@ def gen_random_instance(n: int, B: int, c: int, M: int, *,
     ``deadline_slack`` is given every request gets the deadline
     ``t + distance + deadline_slack``.
     """
-    kind, arg = check_generator_args(n, M, arrival_rate, distance)
+    kind, arg = check_generator_args(n, M, arrival_rate, distance, seed)
     rng = np.random.default_rng(seed)
     horizon = max(1, math.ceil(M / arrival_rate))
     ts = rng.integers(1, horizon + 1, size=M)

@@ -441,6 +441,8 @@ def solve_instance(instance: Instance, *, seed: int = 0, category: str = "auto",
     with both capacities replaced by min(B, c); the exact small-tile solver
     uses the true capacities.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if category not in CATEGORY_CHOICES:
         raise ValueError(f"unknown category {category!r}")
     thr = Thresholds.from_n(instance.n)

@@ -4,8 +4,8 @@ Two subproblems of the medium/long pipeline, each solved exactly on its own:
 ``quadrant_route`` admits a maximum set of origins of a tile's SW quadrant
 to the quadrant's top and right edges by a max-flow, and ``route_crossbar``
 carries requests across one quadrant on edge-disjoint one-bend paths, whose
-bends a closed-form assignment places (no search).  ``oracle`` checks both
-against brute force.
+bends a closed-form assignment places (no search).  The tests check both
+against brute-force oracles.
 
 The max flow is Dinic's (1970) on the quadrant's grid itself, with no graph
 built: flat per-cell lists hold the flow on each cell's unit up and right
@@ -58,13 +58,13 @@ class QuadrantRouting:
 
 def quadrant_route(origins: Mapping[int, tuple[int, int]],
                    corner: tuple[int, int], half: int,
-                   side_limit: int | None = None) -> QuadrantRouting:
+                   side_limit: int) -> QuadrantRouting:
     """Route a maximum subset of origins to the quadrant's top/right edge.
 
     The flow network gives every boundary vertex one exit slot per side it
     borders, so the top-right corner cell holds two.  After the max flow is
-    decomposed into unit paths, each exit side is optionally capped at
-    ``side_limit`` survivors, cutting the largest ids first.
+    decomposed into unit paths, each exit side is capped at ``side_limit``
+    survivors, cutting the largest ids first.
     """
     row0, col0 = corner
     for rid, (r, c) in origins.items():
@@ -214,12 +214,11 @@ def quadrant_route(origins: Mapping[int, tuple[int, int]],
         rejected.extend(ids[routable:])
 
     side_dropped: list[int] = []
-    if side_limit is not None:
-        for side in ("top", "right"):
-            exiters = sorted(r for r, (_, s) in accepted.items() if s == side)
-            for rid in exiters[side_limit:]:
-                side_dropped.append(rid)
-                del accepted[rid]
+    for side in ("top", "right"):
+        exiters = sorted(r for r, (_, s) in accepted.items() if s == side)
+        for rid in exiters[side_limit:]:
+            side_dropped.append(rid)
+            del accepted[rid]
     return QuadrantRouting(accepted, tuple(sorted(rejected)),
                            tuple(sorted(side_dropped)))
 

@@ -1,4 +1,4 @@
-"""Exact solvers that certify the fast code elsewhere in the package.
+"""Exact solvers the tests check the package's fast code against.
 
 ``optimal_schedule`` is ground truth for whole instances and
 ``fractional_optimum`` for the relaxation the fractional solver
@@ -6,7 +6,7 @@ approximates.  Both solve one arc formulation of the packing problem with
 HiGHS (Huangfu & Hall, Math. Prog. Comp. 2018), as a binary program and as
 a linear program.  The model shares no code or idea with the package's
 searches, so agreement with it is an independent check.  scipy is imported
-on first use, so that importing the package does not pay for it.
+on first use, so the brute forces below run without it.
 
 The quadrant and crossbar searches are brute-force ground truth for the two
 routing subproblems.  They enforce hard size limits and raise
@@ -16,14 +16,14 @@ routing subproblems.  They enforce hard size limits and raise
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .grid import GridPath, request_origin
-from .model import Instance, PacketRequest
-from .routing import CrossbarProblem
+from linesched.grid import GridPath, request_origin
+from linesched.model import Instance, PacketRequest
+from linesched.routing import CrossbarProblem
 
 __all__ = [
     "SizeLimitError",
@@ -157,21 +157,29 @@ def fractional_optimum(requests: Sequence[PacketRequest], store_cap: float,
 # Quadrant feasibility.
 
 @lru_cache(maxsize=None)
-def _quadrant_options(cell: tuple[int, int],
-                      half: int) -> tuple[tuple[frozenset, tuple[str, int]], ...]:
-    """(edge set, exit slot) pairs reachable from cell, memoized."""
+def _quadrant_options(cell: tuple[int, int], half: int) -> tuple[int, ...]:
+    """Every path from cell to an exit slot, as one int of bits, memoized.
+
+    Bit ``2 u`` is the forward edge out of window cell ``u = i * half + j``
+    and bit ``2 u + 1`` its store edge; the top slot of column ``j`` is bit
+    ``2 half^2 + j`` and the right slot of row ``i`` bit
+    ``2 half^2 + half + i``.  Two paths share an edge or a slot exactly
+    when their ints share a bit.
+    """
+    slots = 2 * half * half
     out = []
-    stack = [(cell[0], cell[1], ())]
+    stack = [(cell[0], cell[1], 0)]
     while stack:
         i, j, edges = stack.pop()
+        u = 2 * (i * half + j)
         if i == half - 1:
-            out.append((frozenset(edges), ("top", j)))
+            out.append(edges | 1 << (slots + j))
         if j == half - 1:
-            out.append((frozenset(edges), ("right", i)))
+            out.append(edges | 1 << (slots + half + i))
         if i + 1 < half:
-            stack.append((i + 1, j, edges + (("f", i, j),)))
+            stack.append((i + 1, j, edges | 1 << u))
         if j + 1 < half:
-            stack.append((i, j + 1, edges + (("s", i, j),)))
+            stack.append((i, j + 1, edges | 1 << (u + 1)))
     return tuple(out)
 
 
@@ -191,49 +199,49 @@ def quadrant_feasible_bruteforce(origins: Sequence[tuple[int, int]],
     for r, c in origins:
         if not (0 <= r < half and 0 <= c < half):
             raise ValueError(f"origin ({r}, {c}) outside the window")
-
-    for size in range(len(origins), 0, -1):
-        for subset in combinations(range(len(origins)), size):
-            if _routable(tuple(sorted(origins[i] for i in subset)), half):
-                return size
-    return 0
+    return _largest(tuple(sorted(origins)), half)
 
 
-_ROUTABLE_CACHE: dict[tuple[tuple[tuple[int, int], ...], int], bool] = {}
+def _smaller(cells: tuple[tuple[int, int], ...]):
+    """The distinct multisets one cell smaller than the sorted ``cells``."""
+    for k in range(len(cells)):
+        if not k or cells[k] != cells[k - 1]:
+            yield cells[:k] + cells[k + 1:]
 
 
+@lru_cache(maxsize=None)
+def _largest(cells: tuple[tuple[int, int], ...], half: int) -> int:
+    """Size of the largest routable sub-multiset of the sorted ``cells``."""
+    if _routable(cells, half):
+        return len(cells)
+    return max(_largest(sub, half) for sub in _smaller(cells))
+
+
+@lru_cache(maxsize=None)
 def _routable(cells: tuple[tuple[int, int], ...], half: int) -> bool:
-    """Whether the origin multiset admits a full edge-disjoint routing.
+    """Whether the sorted origin multiset admits a full edge-disjoint routing.
 
-    Pure in (cells, half), so results are cached; duplicate origins are
-    forced onto increasing option indices to avoid permuted re-exploration.
+    Routability is hereditary: dropping a path from a routing routes the
+    rest.  So a multiset with an unroutable one-smaller multiset is
+    unroutable with no search.  Otherwise a backtracking search places one
+    path per origin, duplicate origins on increasing option indices to
+    avoid permuted re-exploration.
     """
-    hit = _ROUTABLE_CACHE.get((cells, half))
-    if hit is not None:
-        return hit
+    if not all(_routable(sub, half) for sub in _smaller(cells)):
+        return False
     opts = [_quadrant_options(cell, half) for cell in cells]
-    used_edges: set = set()
-    used_slots: set = set()
 
-    def place(pos: int, floor: int) -> bool:
+    def place(pos: int, floor: int, used: int) -> bool:
         if pos == len(cells):
             return True
         begin = floor if pos and cells[pos - 1] == cells[pos] else 0
         for oi in range(begin, len(opts[pos])):
-            edges, slot = opts[pos][oi]
-            if slot in used_slots or edges & used_edges:
-                continue
-            used_slots.add(slot)
-            used_edges.update(edges)
-            if place(pos + 1, oi + 1):
+            bits = opts[pos][oi]
+            if not bits & used and place(pos + 1, oi + 1, used | bits):
                 return True
-            used_slots.remove(slot)
-            used_edges.difference_update(edges)
         return False
 
-    ok = place(0, 0)
-    _ROUTABLE_CACHE[(cells, half)] = ok
-    return ok
+    return place(0, 0, 0)
 
 
 # ---------------------------------------------------------------------------

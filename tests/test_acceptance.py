@@ -15,22 +15,22 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 import pytest
 
-from linesched.bounding import truncate_fractional, truncate_integral
+from linesched.bounding import flow_edges, truncate_fractional, truncate_integral
 from linesched.cli import main as cli_main
 from linesched.flow import SingleFlow, max_throughput_mcf, randomized_round
 from linesched.grid import (GridPath, load_schedule, packing_to_schedule,
-                            validate_schedule)
+                            request_origin, validate_schedule)
 from linesched.model import (Instance, PacketRequest, Thresholds,
                              capacity_scale, chernoff_exponent,
                              gen_random_instance, load_instance,
                              save_instance)
-from linesched.oracle import (crossbar_feasible_bruteforce, optimal_schedule,
-                              quadrant_feasible_bruteforce)
 from linesched.pipeline import PipelineParams, filter_congested, solve_instance
 from linesched.routing import (CrossbarEntry, CrossbarProblem, quadrant_route,
                                route_crossbar)
 from linesched.shortsolver import solve_short
 from linesched.tiling import Tiling
+from oracle import (crossbar_feasible_bruteforce, optimal_schedule,
+                    quadrant_feasible_bruteforce)
 
 
 def _report(num: int, detail: str) -> None:
@@ -173,14 +173,14 @@ def test_criterion_03_fractional_truncation():
                                                rel=1e-12)
         loads = defaultdict(float)
         for flow in out.flows:
-            for e, w in flow.edges.items():
+            for e, w in flow_edges(flow).items():
                 assert w >= 0.0
                 loads[e] += w
         for (kind, _, _), w in loads.items():
             assert w <= (caps[0] if kind == "s" else caps[1]) + 1e-12
         for flow in out.flows:
-            for _, path in flow.paths:
-                assert len(path) <= 2 * d
+            for _, moves in flow.routes:
+                assert len(GridPath(*request_origin(flow.request), moves)) <= 2 * d
         checked += 1
     assert checked >= 140
     _report(3, f"{checked} solver flows rescaled exactly, all supports <= 2d")
@@ -216,7 +216,7 @@ def test_criterion_05_rounding_unbiasedness():
     edges = {("f", 0, 1): 0.4, ("s", 0, 1): 0.2, ("f", 0, 2): 0.2,
              ("f", 1, 1): 0.3, ("s", 1, 1): 0.1, ("f", 1, 2): 0.3}
     flow = SingleFlow(req, 0.6, routes)
-    assert flow.edges == pytest.approx(edges, rel=1e-15)
+    assert flow_edges(flow) == pytest.approx(edges, rel=1e-15)
     trials = 100_000
     hits = Counter()
     accepted = 0
@@ -300,7 +300,8 @@ def test_criterion_07_quadrant_exhaustive():
         for m in range(0, 7):
             for combo in combinations_with_replacement(cells, m):
                 brute = quadrant_feasible_bruteforce(list(combo), half)
-                routing = quadrant_route(dict(enumerate(combo)), (0, 0), half)
+                routing = quadrant_route(dict(enumerate(combo)), (0, 0), half,
+                                         side_limit=half)
                 assert len(routing.accepted) == brute, (half, combo)
                 feasible = brute == m
                 assert feasible == _no_overloaded_rectangle(combo, half), \

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 
 from linesched.bounding import (
     first_boundary_after,
+    flow_edges,
     slab_index,
     truncate_fractional,
     truncate_integral,
     truncate_path,
 )
 from linesched.flow import FractionalMCF, SingleFlow, max_throughput_mcf
-from linesched.grid import GridPath
+from linesched.grid import GridPath, request_origin
 from linesched.model import PacketRequest
 
 
@@ -310,11 +311,11 @@ def test_truncate_fractional_confined_flow_only_scales():
     req = PacketRequest(id=0, a=0, b=2, t=1)
     edges = {("s", 0, 1): 0.7, ("f", 0, 2): 0.7, ("f", 1, 2): 0.7}
     mcf = as_mcf([SingleFlow(req, 0.7, ((0.7, "sff"),))])
-    assert mcf.flows[0].edges == edges
+    assert flow_edges(mcf.flows[0]) == edges
     out = truncate_fractional(mcf, 6, store_cap=1.0, fwd_cap=1.0)
     flow = out.flows[0]
-    assert flow.edges.keys() == edges.keys()
-    for e, w in flow.edges.items():
+    assert flow_edges(flow).keys() == edges.keys()
+    for e, w in flow_edges(flow).items():
         assert w == pytest.approx(0.7 / 3.0, abs=1e-15)
     assert flow.amount == pytest.approx(0.7 / 3.0, abs=1e-15)
 
@@ -353,7 +354,7 @@ def test_truncate_fractional_solver_flows(seed, caps):
 
     loads = defaultdict(float)
     for flow in out.flows:
-        for e, w in flow.edges.items():
+        for e, w in flow_edges(flow).items():
             assert w >= 0.0
             loads[e] += w
     for (kind, row, col), w in loads.items():
@@ -364,7 +365,7 @@ def test_truncate_fractional_solver_flows(seed, caps):
     for flow in out.flows:
         boundary = first_boundary_after(flow.request.t, d)
         suffix_cols = defaultdict(list)
-        for (kind, row, col), w in flow.edges.items():
+        for (kind, row, col), w in flow_edges(flow).items():
             if row + col >= boundary:
                 assert kind == "f"
                 suffix_cols[col].append(row)
@@ -372,8 +373,8 @@ def test_truncate_fractional_solver_flows(seed, caps):
             rows.sort()
             assert rows[0] + col == boundary  # run starts on the boundary
             assert rows == list(range(rows[0], flow.request.b))
-        for weight, path in flow.paths:
-            assert len(path) <= 2 * d
+        for weight, moves in flow.routes:
+            assert len(GridPath(*request_origin(flow.request), moves)) <= 2 * d
 
 
 def rewrite_flow_edges(flow: SingleFlow, d: int) -> dict[tuple[str, int, int], float]:
@@ -387,7 +388,7 @@ def rewrite_flow_edges(flow: SingleFlow, d: int) -> dict[tuple[str, int, int], f
     boundary = first_boundary_after(req.t, d)
     out: dict[tuple[str, int, int], float] = defaultdict(float)
     leaving: dict[int, float] = defaultdict(float)
-    for (kind, row, col), w in flow.edges.items():
+    for (kind, row, col), w in flow_edges(flow).items():
         if kind == "s" and row == req.b:
             continue
         t = row + col
@@ -413,9 +414,10 @@ def test_truncate_fractional_matches_edge_rewrite():
         rho = scaled(caps)
         for flow, new_flow in zip(mcf.flows, out.flows):
             want = {e: w * rho for e, w in rewrite_flow_edges(flow, d).items()}
-            assert new_flow.edges.keys() == want.keys()
-            assert new_flow.edges == pytest.approx(want, rel=1e-12)
-            rewritten += want.keys() != flow.edges.keys()
+            got = flow_edges(new_flow)
+            assert got.keys() == want.keys()
+            assert got == pytest.approx(want, rel=1e-12)
+            rewritten += want.keys() != flow_edges(flow).keys()
     assert rewritten > 0  # some flows cross a boundary
 
 
@@ -435,8 +437,8 @@ def test_truncate_fractional_matches_pathwise_construction(seed):
         suf = defaultdict(float)
         t0 = flow.request.t
         cut_at = first_boundary_after(t0, d) - t0
-        for weight, path in flow.paths:
-            q, vertex = truncate_path(path, d)
+        for weight, moves in flow.routes:
+            q, vertex = truncate_path(GridPath(*request_origin(flow.request), moves), d)
             for i, e in enumerate(q.edges()):
                 if vertex is not None and i >= cut_at:
                     suf[e] += weight
@@ -453,9 +455,10 @@ def test_truncate_fractional_matches_pathwise_construction(seed):
             rebuilt[e] += w
         for e, w in suf.items():
             rebuilt[e] += w
-        assert rebuilt.keys() == new_flow.edges.keys()
+        got = flow_edges(new_flow)
+        assert rebuilt.keys() == got.keys()
         for e, w in rebuilt.items():
-            assert new_flow.edges[e] == pytest.approx(rho * w, rel=1e-9, abs=1e-9)
+            assert got[e] == pytest.approx(rho * w, rel=1e-9, abs=1e-9)
 
 
 def test_truncate_fractional_carries_certificate_fields():

@@ -36,6 +36,27 @@ def test_gen_rejects_an_arrival_rate_whose_horizon_overflows(tmp_path, capsys, r
     assert not out.exists()
 
 
+def test_gen_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "inst.json"
+    assert main(["gen", "--n", "16", "--M", "10", "--seed", "-1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be nonnegative, got -1\n"
+    assert not out.exists()
+
+
+def test_solve_rejects_a_negative_seed_before_any_band_runs(tmp_path, capsys):
+    # only short requests: no band draws from the seed, so only the early
+    # check can see it
+    inst = _gen(tmp_path, n=6, M=5, seed=1)
+    sched = tmp_path / "sched.json"
+    assert main(["solve", str(inst), "--seed", "-1", "--out", str(sched)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be nonnegative, got -1\n"
+    assert not sched.exists()
+
+
 def test_solve_roundtrip_verifies(tmp_path, capsys):
     inst = _gen(tmp_path)
     sched = tmp_path / "sched.json"
@@ -182,7 +203,8 @@ def test_bench_config_validation(tmp_path, capsys):
             ("n", 1, "need at least 2 nodes"),
             ("B", 0, "capacities must be >= 1"),
             ("c", 0, "capacities must be >= 1"),
-            ("arrival_rate", 1e-300, "arrival_rate 1e-300 is too small")):
+            ("arrival_rate", 1e-300, "arrival_rate 1e-300 is too small"),
+            ("seeds", [-1], "seeds must be a non-empty list of nonnegative integers")):
         bad = tmp_path / "bad_value.json"
         bad.write_text(json.dumps({"runs": [{"n": 16, "M": 5},
                                             {"n": 16, "M": 5, key: value}]}))
@@ -194,7 +216,7 @@ def test_bench_config_validation(tmp_path, capsys):
         assert not report.exists()
 
 
-def test_eps_is_checked_when_only_short_bands_run(tmp_path, capsys):
+def test_short_only_solve_runs_no_flow_and_rejects_the_eps_flag(tmp_path, capsys):
     inst = _gen(tmp_path, n=6, M=5, seed=1)
     sched = tmp_path / "sched.json"
     assert main(["solve", str(inst), "--out", str(sched)]) == 0

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linesched import flow, pipeline
+from linesched.bounding import flow_edges
 from linesched.flow import (
     FractionalMCF,
     SingleFlow,
@@ -21,17 +22,21 @@ from linesched.flow import (
 from linesched.grid import GridPath, packing_to_schedule, request_origin, validate_schedule
 from linesched.model import (PacketRequest, capacity_scale, gen_random_instance,
                              request_rng)
-from linesched.oracle import fractional_optimum
+from oracle import fractional_optimum
 
 
 
 # ---------------------------------------------------------------------------
 # Fractional solver.
 
+def flow_paths(f: SingleFlow) -> list[tuple[float, GridPath]]:
+    return [(q, GridPath(*request_origin(f.request), moves)) for q, moves in f.routes]
+
+
 def agg_edge_loads(mcf: FractionalMCF) -> dict[tuple[str, int, int], float]:
     loads: dict[tuple[str, int, int], float] = {}
     for f in mcf.flows:
-        for key, v in f.edges.items():
+        for key, v in flow_edges(f).items():
             loads[key] = loads.get(key, 0.0) + v
     return loads
 
@@ -40,8 +45,8 @@ def check_feasible(mcf: FractionalMCF, store_cap, fwd_cap, hops):
     for f in mcf.flows:
         assert -1e-12 <= f.amount <= 1.0 + 1e-12
         # the amount is the routes' quanta summed in route order, capped at 1
-        assert min(sum(q for q, _ in f.paths), 1.0) == f.amount
-        for w, path in f.paths:
+        assert min(sum(q for q, _ in f.routes), 1.0) == f.amount
+        for w, path in flow_paths(f):
             assert (path.row, path.col) == request_origin(f.request)
             assert path.moves.count("f") == f.request.distance
             assert path.moves[-1] == "f"
@@ -83,9 +88,9 @@ def test_mcf_tight_hop_bound_forces_direct_path():
     reqs = [PacketRequest(0, 1, 3, 4)]
     mcf = max_throughput_mcf(reqs, n=4, store_cap=1.0, fwd_cap=1.0,
                              hop_bounds={0: 2})
-    assert mcf.flows[0].paths
-    for _, path in mcf.flows[0].paths:
-        assert path.moves == "ff"
+    assert mcf.flows[0].routes
+    for _, moves in mcf.flows[0].routes:
+        assert moves == "ff"
     with pytest.raises(ValueError, match="hop bound"):
         max_throughput_mcf(reqs, n=4, store_cap=1.0, fwd_cap=1.0, hop_bounds={0: 1})
 
@@ -255,7 +260,7 @@ def open_windows(draw):
 # run of open stores, and leaves it from column 3
 @example((SimpleNamespace(open={"f": [0b1, 0, 0b1, 0b10, 0], "s": [0b111] * 4 + [0]},
                           windows=[(0, 2, 0, 4)], least_cap=(1.0, 1.0), congestion=0.0), 1.0))
-def test_open_path_is_the_brute_force_fewest_store_path(window):
+def test_take_routes_the_brute_force_fewest_store_path(window):
     # take routes the brute force's path, pushes the same quantum and closes
     # the same bits, and finds no path exactly where the brute force does
     state, demand = window
@@ -375,7 +380,7 @@ def test_every_load_is_zero_or_one_quantum(inputs, k):
     assert mcf.congestion in (0.0, 1.0)
 
 
-def test_turn_without_residual_path_runs_no_dp():
+def test_turn_without_an_open_path_routes_nothing():
     # requests 0 and 1 saturate the forward edges out of row 1 in request
     # 2's window, so its one turn finds no path
     reqs = [PacketRequest(0, 1, 2, 1), PacketRequest(1, 1, 2, 2), PacketRequest(2, 0, 2, 0)]
@@ -459,7 +464,7 @@ class Booked:
         return got
 
 
-def test_route_updates_loads_and_open_bits():
+def test_take_pushes_the_capped_quantum_and_closes_its_path():
     reqs = [PacketRequest(0, 0, 4, 1), PacketRequest(1, 1, 5, 2)]
     booked = Booked(reqs, [9, 8], 0.7, 1.3)
     state = booked.state
@@ -539,8 +544,8 @@ def test_a_route_never_reuses_an_edge_of_an_earlier_route():
         (1, [("s", 0, 2), ("f", 0, 3)])]
     assert turns == {0: 2, 1: 2}
     for f in mcf.flows:
-        assert list(f.edges.items()) == list(booked_edges(calls, f.request.id).items())
-    assert mcf.flows[1].edges[("s", 0, 2)] == 0.75
+        assert list(flow_edges(f).items()) == list(booked_edges(calls, f.request.id).items())
+    assert flow_edges(mcf.flows[1])[("s", 0, 2)] == 0.75
 
 
 @settings(max_examples=300, deadline=None)
@@ -570,44 +575,23 @@ def test_edge_maps_from_paths_match_per_route_booking(inputs):
     # order as booking each route's edges as it is routed
     mcf, calls, _ = solve_recording_routes(*inputs)
     for f in mcf.flows:
-        assert "paths" not in f.__dict__ and "edges" not in f.__dict__  # built on first read only
-        assert [(q, list(p.edges())) for q, p in f.paths] == [
+        assert [(q, list(p.edges())) for q, p in flow_paths(f)] == [
             (q, keys) for i, q, keys in calls if i == f.request.id]
-        assert f.paths is f.paths
-        assert list(f.edges.items()) == list(booked_edges(calls, f.request.id).items())
-        assert f.edges is f.edges
+        assert list(flow_edges(f).items()) == list(booked_edges(calls, f.request.id).items())
 
 
-def solve_keeping_flows(inst, seed: int) -> tuple[list[SingleFlow], dict]:
-    """Every λ-solve flow of one ``solve_instance`` call, and what rounding
-    returned, merged over the bands."""
-    solves, rounded = [], {}
+def solve_keeping_flows(inst, seed: int) -> list[SingleFlow]:
+    """Every λ-solve flow of one ``solve_instance`` call, over the bands."""
+    solves = []
 
     def keeping(*args, **kwargs):
         solves.append(max_throughput_mcf(*args, **kwargs))
         return solves[-1]
 
-    def recording(flows, seed):
-        got = randomized_round(flows, seed)
-        rounded.update(got)
-        return got
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "max_throughput_mcf", keeping)
-        mp.setattr(pipeline, "randomized_round", recording)
         pipeline.solve_instance(inst, seed=seed)
-    return [f for mcf in solves for f in mcf.flows], rounded
-
-
-def test_solve_builds_no_edge_maps():
-    # rounding picks whole paths, so no flow of any fractional solve ever
-    # sums its paths into an edge map, and only the flows its coin accepts
-    # build their paths
-    flows, rounded = solve_keeping_flows(gen_random_instance(64, 1, 1, 150, seed=5), 5)
-    assert rounded and len(flows) > 10 * len(rounded)
-    for f in flows:
-        assert "edges" not in f.__dict__, f.request.id
-        assert ("paths" in f.__dict__) == (f.request.id in rounded), f.request.id
+    return [f for mcf in solves for f in mcf.flows]
 
 
 def test_solve_at_caps_above_one_half_closes_partly_filled_paths():
@@ -654,7 +638,7 @@ def test_first_routes_of_each_lambda_solve_form_a_valid_schedule(inst, seed):
         mp.setattr(pipeline, "max_throughput_mcf", keeping)
         pipeline.solve_instance(inst, seed=seed)
     for mcf in solves:
-        first = {f.request.id: f.paths[0][1] for f in mcf.flows if f.routes}
+        first = {f.request.id: flow_paths(f)[0][1] for f in mcf.flows if f.routes}
         verdict = validate_schedule(inst, packing_to_schedule(inst, first))
         assert verdict.ok, verdict.violations
         assert verdict.accepted == len(first)
@@ -840,7 +824,7 @@ def hand_flow() -> SingleFlow:
     req = PacketRequest(0, 0, 2, 2)
     routes = ((0.3, "ff"), (0.2, "fsf"), (0.3, "sff"))
     sf = SingleFlow(request=req, amount=0.8, routes=routes)
-    assert sf.edges == {
+    assert flow_edges(sf) == {
         ("f", 0, 2): 0.5,
         ("s", 0, 2): 0.3,
         ("f", 0, 3): 0.3,
@@ -868,8 +852,9 @@ def test_randomized_round_rejects_an_amount_on_no_path():
 
 def test_randomized_round_marginals():
     sf = hand_flow()
+    edges = flow_edges(sf)
     trials = 20000
-    hits: dict[tuple[str, int, int], int] = {k: 0 for k in sf.edges}
+    hits: dict[tuple[str, int, int], int] = {k: 0 for k in edges}
     accepted = 0
     for seed in range(trials):
         got = randomized_round((sf,), seed)
@@ -882,7 +867,7 @@ def test_randomized_round_marginals():
     sigma = math.sqrt(0.8 * 0.2 / trials)
     assert abs(accepted / trials - 0.8) <= 3.5 * sigma
     # each support edge appears with probability equal to its flow value
-    for key, f_e in sf.edges.items():
+    for key, f_e in edges.items():
         sigma = math.sqrt(f_e * (1 - f_e) / trials)
         assert abs(hits[key] / trials - f_e) <= 3.5 * sigma, key
 
@@ -898,7 +883,7 @@ def test_rounding_picks_one_of_each_accepted_requests_routes(inputs):
         assert got.keys() == coin
         for f in flows:
             if f.request.id in got:
-                assert got[f.request.id] in [p for _, p in f.paths]
+                assert got[f.request.id] in [p for _, p in flow_paths(f)]
 
 
 def walk_round(flows, master_seed: int) -> dict[int, GridPath]:
@@ -912,11 +897,12 @@ def walk_round(flows, master_seed: int) -> dict[int, GridPath]:
         rng = request_rng(master_seed, sf.request.id)
         if rng.random() >= min(sf.amount, 1.0):
             continue
+        edges = flow_edges(sf)
         row, col = origin = request_origin(sf.request)
         moves = []
         while row < sf.request.b:
-            wf = sf.edges.get(("f", row, col), 0.0)
-            ws = sf.edges.get(("s", row, col), 0.0)
+            wf = edges.get(("f", row, col), 0.0)
+            ws = edges.get(("s", row, col), 0.0)
             total = wf + ws
             forward = total <= 0.0 or rng.random() < wf / total
             moves.append("f" if forward else "s")
@@ -929,9 +915,9 @@ def test_route_pick_matches_the_walk_when_the_first_route_goes_forward():
     # at pipeline caps a second route leaves the origin by the edge the
     # first left open, so when the first starts forward the walk's first
     # draw chooses between the two routes just as the pick does
-    flows, _ = solve_keeping_flows(gen_random_instance(64, 1, 1, 150, seed=5), 5)
-    forward = [f for f in flows if f.paths and f.paths[0][1].moves[0] == "f"]
-    assert sum(len(f.paths) == 2 for f in forward) > 10
+    flows = solve_keeping_flows(gen_random_instance(64, 1, 1, 150, seed=5), 5)
+    forward = [f for f in flows if f.routes and f.routes[0][1][0] == "f"]
+    assert sum(len(f.routes) == 2 for f in forward) > 10
     for f in forward:
         for seed in range(20):
             assert randomized_round((f,), seed) == walk_round((f,), seed), f.request.id

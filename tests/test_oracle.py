@@ -10,12 +10,12 @@ import pytest
 import linesched
 from linesched.grid import packing_to_schedule, validate_schedule
 from linesched.model import Instance, PacketRequest
-from linesched.oracle import (SizeLimitError, crossbar_feasible_bruteforce,
-                              optimal_schedule, quadrant_feasible_bruteforce)
 from linesched.routing import (CrossbarEntry, CrossbarProblem,
                                quadrant_route, route_crossbar)
 from linesched.shortsolver import solve_tile_exact
 from linesched.tiling import Tiling
+from oracle import (SizeLimitError, crossbar_feasible_bruteforce,
+                    optimal_schedule, quadrant_feasible_bruteforce)
 
 
 def _clones(m: int) -> Instance:
@@ -97,10 +97,11 @@ def test_impossible_deadline_never_packed():
 
 
 def test_package_solves_without_scipy():
-    # only the oracle needs scipy, and imports it on first use
+    # only the tests' oracle needs scipy, and the package never loads it
     src = str(Path(linesched.__file__).resolve().parent.parent)
     code = (f"import sys; sys.path.insert(0, {src!r}); sys.modules['scipy'] = None\n"
             "from linesched import Instance, PacketRequest, solve_instance\n"
+            "assert 'linesched.oracle' not in sys.modules\n"
             "inst = Instance(8, 1, 1, tuple(PacketRequest(i, 0, 1 + i, 1)"
             " for i in range(6)))\n"
             "print(solve_instance(inst)[1].throughput)")
@@ -134,7 +135,7 @@ def test_quadrant_bruteforce_matches_max_flow():
         m = rng.randint(0, 6)
         origins = [(rng.randrange(half), rng.randrange(half)) for _ in range(m)]
         want = quadrant_feasible_bruteforce(origins, half)
-        routing = quadrant_route(dict(enumerate(origins)), (0, 0), half)
+        routing = quadrant_route(dict(enumerate(origins)), (0, 0), half, side_limit=half)
         assert len(routing.accepted) == want, (trial, origins, half)
 
 

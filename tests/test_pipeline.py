@@ -16,7 +16,6 @@ import linesched
 from linesched.grid import GridPath, packing_to_schedule, validate_schedule
 from linesched.model import (Instance, PacketRequest, SolverInvariantError,
                              capacity_scale, gen_random_instance)
-from linesched.oracle import optimal_schedule
 from linesched.pipeline import (PipelineParams, _cut_at_delivery,
                                 filter_congested, fractional_upper_bound,
                                 route_detailed, run_medium_long,
@@ -24,6 +23,7 @@ from linesched.pipeline import (PipelineParams, _cut_at_delivery,
 from linesched.routing import (CrossbarEntry, CrossbarProblem, quadrant_route,
                                route_crossbar)
 from linesched.tiling import Tiling, project
+from oracle import optimal_schedule
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +86,7 @@ def test_filter_threshold_is_inclusive():
 
 def test_quadrant_route_distinct_origins_all_accepted():
     origins = {10: (0, 0), 11: (1, 2), 12: (3, 1)}
-    routing = quadrant_route(origins, (0, 0), 4)
+    routing = quadrant_route(origins, (0, 0), 4, side_limit=4)
     assert set(routing.accepted) == {10, 11, 12}
     assert routing.rejected == () and routing.side_dropped == ()
     used = set()
@@ -100,7 +100,7 @@ def test_quadrant_route_distinct_origins_all_accepted():
 
 
 def test_quadrant_route_corner_multiplicity():
-    routing = quadrant_route({5: (3, 3), 6: (3, 3), 7: (3, 3)}, (0, 0), 4)
+    routing = quadrant_route({5: (3, 3), 6: (3, 3), 7: (3, 3)}, (0, 0), 4, side_limit=4)
     assert set(routing.accepted) == {5, 6}     # smallest ids win
     assert routing.rejected == (7,)
     assert {side for _, side in routing.accepted.values()} == {"top", "right"}
@@ -108,7 +108,7 @@ def test_quadrant_route_corner_multiplicity():
 
 def test_quadrant_route_side_limit_cuts_largest_ids():
     origins = {i: (i, 0) for i in range(4)}    # column of four origins
-    free = quadrant_route(origins, (0, 0), 4)
+    free = quadrant_route(origins, (0, 0), 4, side_limit=4)
     capped = quadrant_route(origins, (0, 0), 4, side_limit=1)
     for side in ("top", "right"):
         winners = sorted(r for r, (_, s) in capped.accepted.items() if s == side)
@@ -119,9 +119,9 @@ def test_quadrant_route_side_limit_cuts_largest_ids():
 
 def test_quadrant_route_offsets_respect_window():
     with pytest.raises(ValueError):
-        quadrant_route({0: (4, 0)}, (0, 0), 4)
+        quadrant_route({0: (4, 0)}, (0, 0), 4, side_limit=4)
     # absolute corners translate correctly
-    routing = quadrant_route({0: (10, 21)}, (10, 20), 2)
+    routing = quadrant_route({0: (10, 21)}, (10, 20), 2, side_limit=2)
     path, _ = routing.accepted[0]
     assert (path.row, path.col) == (10, 21)
 

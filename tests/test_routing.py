@@ -149,7 +149,7 @@ def test_dinic_zero_and_errors():
 # Quadrant admission.
 
 
-def full_grid_quadrant_route(origins, corner, half, side_limit=None) -> QuadrantRouting:
+def full_grid_quadrant_route(origins, corner, half, side_limit) -> QuadrantRouting:
     """Reference: the network over all ``half**2`` cells, every cell with
     its up, right and exit-slot edges, stripped the same way."""
     row0, col0 = corner
@@ -200,11 +200,10 @@ def full_grid_quadrant_route(origins, corner, half, side_limit=None) -> Quadrant
             accepted[rid] = (GridPath(row0 + cell[0], col0 + cell[1], moves), side)
         rejected.extend(ids[routable:])
     dropped = []
-    if side_limit is not None:
-        for side in ("top", "right"):
-            for rid in sorted(r for r, (_, s) in accepted.items() if s == side)[side_limit:]:
-                dropped.append(rid)
-                del accepted[rid]
+    for side in ("top", "right"):
+        for rid in sorted(r for r, (_, s) in accepted.items() if s == side)[side_limit:]:
+            dropped.append(rid)
+            del accepted[rid]
     return QuadrantRouting(accepted, tuple(sorted(rejected)), tuple(sorted(dropped)))
 
 
@@ -223,7 +222,7 @@ def quadrant_inputs(draw):
     corner = (draw(st.integers(0, 5)), draw(st.integers(0, 5)))
     ids = draw(st.permutations(range(len(cells))))
     origins = {rid: (corner[0] + i, corner[1] + j) for rid, (i, j) in zip(ids, cells)}
-    side_limit = draw(st.none() | st.integers(0, half))
+    side_limit = draw(st.integers(0, half))
     return origins, corner, half, side_limit
 
 
@@ -231,16 +230,16 @@ def quadrant_inputs(draw):
 @given(quadrant_inputs())
 # origins only in the top row: no right-slot handle below it, no top
 # handle left of the leftmost origin
-@example(({0: (3, 2), 1: (3, 3), 2: (3, 2)}, (0, 0), 4, None))
+@example(({0: (3, 2), 1: (3, 3), 2: (3, 2)}, (0, 0), 4, 4))
 @example(({0: (3, 2), 1: (3, 3), 2: (3, 2)}, (0, 0), 4, 1))
 # origins only in the right column: one top handle, the right slots above
-@example(({0: (1, 3), 1: (1, 3), 2: (2, 3), 3: (1, 3)}, (0, 0), 4, None))
+@example(({0: (1, 3), 1: (1, 3), 2: (2, 3), 3: (1, 3)}, (0, 0), 4, 4))
 @example(({0: (1, 3), 1: (1, 3), 2: (2, 3), 3: (1, 3)}, (0, 0), 4, 0))
 # the corner cell only, and no origins at all
-@example(({5: (7, 8), 6: (7, 8), 7: (7, 8)}, (5, 6), 3, None))
-@example(({}, (0, 0), 5, None))
+@example(({5: (7, 8), 6: (7, 8), 7: (7, 8)}, (5, 6), 3, 3))
+@example(({}, (0, 0), 5, 5))
 # three origins on a one-cell quadrant: its two exit slots admit two
-@example(({4: (2, 3), 1: (2, 3), 9: (2, 3)}, (2, 3), 1, None))
+@example(({4: (2, 3), 1: (2, 3), 9: (2, 3)}, (2, 3), 1, 1))
 # a tile of the pipeline's largest side with an origin in every corner
 @example(({0: (0, 0), 1: (17, 0), 2: (0, 17)}, (0, 0), 18, 6))
 def test_pruned_network_matches_full_grid(inputs):
@@ -248,6 +247,6 @@ def test_pruned_network_matches_full_grid(inputs):
 
 
 def test_one_cell_quadrant_rejects_its_third_origin():
-    got = quadrant_route({4: (2, 3), 1: (2, 3), 9: (2, 3)}, (2, 3), 1)
+    got = quadrant_route({4: (2, 3), 1: (2, 3), 9: (2, 3)}, (2, 3), 1, side_limit=1)
     assert got.rejected == (9,)
     assert {rid: side for rid, (_, side) in got.accepted.items()} == {1: "top", 4: "right"}

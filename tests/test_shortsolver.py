@@ -7,9 +7,9 @@ import pytest
 from linesched import shortsolver
 from linesched.grid import GridPath, packing_to_schedule, validate_schedule
 from linesched.model import Instance, PacketRequest, Thresholds, gen_random_instance
-from linesched.oracle import optimal_schedule
 from linesched.shortsolver import _tile_paths, solve_short, solve_tile_exact
 from linesched.tiling import Tiling
+from oracle import optimal_schedule
 
 
 def test_path_enumeration_orders_forwards_first():
