@@ -72,13 +72,13 @@ def capacity_scale() -> float:
     return chernoff_exponent(1.0) / 6.0
 
 
-def round_up_to_multiple_of_6(x: float, minimum: int = 6) -> int:
-    """Smallest multiple of 6 that is >= x (and >= minimum).
+def round_up_to_multiple_of_6(x: float) -> int:
+    """Smallest multiple of 6 that is >= x, and at least 6.
 
     Tile side lengths must be divisible by 6 so that both the half-tile shift
     and the per-side admission quota k/3 stay integral.
     """
-    return max(minimum, 6 * math.ceil(x / 6.0))
+    return max(6, 6 * math.ceil(x / 6.0))
 
 
 # ---------------------------------------------------------------------------

@@ -277,10 +277,11 @@ def route_detailed(survivors: Mapping[int, tuple[GridPath, str]],
 # ---------------------------------------------------------------------------
 # Band driver: the seven stages end to end.
 
-def run_medium_long(requests: Sequence[PacketRequest], n: int,
-                    store_cap: int, fwd_cap: int, params: PipelineParams,
+def run_medium_long(requests: Sequence[PacketRequest], n: int, cap: int,
+                    params: PipelineParams,
                     ) -> tuple[dict[int, GridPath], StageTrace]:
-    """Schedule one distance band; returns (delivered packing, trace).
+    """Schedule one distance band at capacity ``cap`` on every edge;
+    returns (delivered packing, trace).
 
     Each request's action budget is ``params.hop_cap`` clipped by its
     deadline; a request whose budget falls below its distance is left out.
@@ -297,8 +298,8 @@ def run_medium_long(requests: Sequence[PacketRequest], n: int,
     if not servable:
         return {}, trace
 
-    mcf = max_throughput_mcf(servable, n, params.lam * store_cap,
-                             params.lam * fwd_cap, hop_bounds)
+    mcf = max_throughput_mcf(servable, n, params.lam * cap, params.lam * cap,
+                             hop_bounds)
     trace.fractional_value = mcf.throughput
     trace.fractional_bound = mcf.dual_bound
     trace.cert_gap = mcf.cert_gap
@@ -368,7 +369,7 @@ def run_medium_long(requests: Sequence[PacketRequest], n: int,
             loads[(kind, row, col)] += 1
             if row + (kind == "f") >= n:
                 raise SolverInvariantError("delivered path leaves the grid")
-    if any(v > (store_cap if e[0] == "s" else fwd_cap) for e, v in loads.items()):
+    if any(v > cap for v in loads.values()):
         raise SolverInvariantError("capacity violated after routing")
     if any(project(p, tiling) != sketches[rid] for rid, p in planned.items()):
         raise SolverInvariantError("tile projection drifted")
@@ -466,7 +467,7 @@ def solve_instance(instance: Instance, *, seed: int = 0, category: str = "auto",
             d_max = thr.medium_max if cat is Category.MEDIUM else float(instance.n - 1)
             params = PipelineParams(d_max, seed=seed)
             packings[name], traces[name] = run_medium_long(
-                bands[name], instance.n, scaled, scaled, params)
+                bands[name], instance.n, scaled, params)
 
     best_name, best = "", {}
     for name in packings:

@@ -8,22 +8,26 @@ bends a closed-form assignment places (no search).  The tests check both
 against brute-force oracles.
 
 The max flow is Dinic's (1970) on the quadrant's grid itself, with no graph
-built: flat per-cell lists hold the flow on each cell's unit up and right
-edges, per-column and per-row lists the flow through the top and right exit
-slots, and a per-origin-cell list the flow from the source.  A residual arc
-is then a lookup.  The search order is that of an adjacency-list Dinic whose
-source arcs follow the origins' first appearance and whose cells list their
-arcs as: the reverse of the up edge in from ``(i-1, j)``, up out, the
-reverse of the right edge in from ``(i, j-1)``, right out, the top slot
-(row ``half-1``) and the right slot (column ``half-1``).  A cell's DFS
-pointer moves on only when an arc fails, so the flow, and the paths the
+built.  Cell ``(i, j)`` is ``u = i * half + j``; edge ``2 u`` is its up edge,
+or its top exit slot in row ``half-1``, and edge ``2 u + 1`` its right edge,
+or its right exit slot in column ``half-1``.  One flow list is indexed by
+edge, and a per-origin-cell list holds the flow from the source.  An arc
+table, built once per ``half``, lists each cell's residual arcs as
+``(edge, head, reverse)``; an arc is open when its edge's flow equals
+``reverse``, and a push flips that flow.  The BFS, the DFS, the min-cut
+check and the stripping all walk this table.  The search order is that of
+an adjacency-list Dinic whose source arcs follow the origins' first
+appearance and whose cells list their arcs as the table does: the reverse
+of the up edge in from ``(i-1, j)``, up out, the reverse of the right edge
+in from ``(i, j-1)``, right out, the top slot and the right slot.  A cell's
+DFS pointer moves on only when an arc fails, so the flow, and the paths the
 stripping reads off it, are that Dinic's.  Cells no origin reaches never
 take a level or flow, so they need no pruning.
 
 Each BFS stops once the sink has a level ``L``.  The cells it has not
-reached by then would get levels of ``L`` or more, and no such cell lies on
-a path of rising levels to the sink, whose level is ``L``; the DFS would
-only try them and fail.  So the stop takes the same arcs.  The last BFS
+reached by then would get levels of ``L`` or more, and no cell of level
+``L`` or more lies on a path of rising levels to the sink, whose level is
+``L``; the DFS would only try them and fail.  So the stop takes the same arcs.  The last BFS
 reaches no sink and runs to the end: its cells are the source side of a min
 cut, whose capacity is checked against the flow.
 """
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 from .grid import GridPath
@@ -56,6 +61,31 @@ class QuadrantRouting:
     side_dropped: tuple[int, ...]               # cut by the per-side limit
 
 
+@lru_cache(maxsize=None)
+def _arcs(half: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Each cell's arcs as ``(edge, head, reverse)`` in the module
+    docstring's order; the sink is cell ``half * half``."""
+    size, last = half * half, half - 1
+    table = []
+    for u in range(size):
+        i, j = divmod(u, half)
+        arcs = []
+        if i:
+            arcs.append((2 * (u - half), u - half, 1))
+        if i < last:
+            arcs.append((2 * u, u + half, 0))
+        if j:
+            arcs.append((2 * u - 1, u - 1, 1))
+        if j < last:
+            arcs.append((2 * u + 1, u + 1, 0))
+        if i == last:
+            arcs.append((2 * u, size, 0))
+        if j == last:
+            arcs.append((2 * u + 1, size, 0))
+        table.append(tuple(arcs))
+    return tuple(table)
+
+
 def quadrant_route(origins: Mapping[int, tuple[int, int]],
                    corner: tuple[int, int], half: int,
                    side_limit: int) -> QuadrantRouting:
@@ -78,11 +108,9 @@ def quadrant_route(origins: Mapping[int, tuple[int, int]],
     cells = list(by_cell)           # the source arcs, in insertion order
     supply = [len(by_cell[u]) for u in cells]
     fed = [0] * len(cells)          # flow on each source arc
-    size, last = half * half, half - 1
-    up = [0] * size                 # flow on u -> u + half
-    right = [0] * size              # flow on u -> u + 1
-    top = [0] * half                # flow out of (last, j) through its top slot
-    exit_right = [0] * half         # flow out of (i, last) through its right slot
+    size = half * half
+    arcs = _arcs(half)
+    flow = [0] * (2 * size)         # flow on each edge
 
     def levels() -> list[int]:
         """BFS levels in the residual grid, -1 where unreached, stopping
@@ -92,52 +120,31 @@ def quadrant_route(origins: Mapping[int, tuple[int, int]],
         for u in queue:
             level[u] = 1
         for u in queue:
-            i, j = divmod(u, half)
             lv = level[u] + 1
-            if (i == last and not top[j]) or (j == last and not exit_right[i]):
-                level[size] = lv
-                break
-            if i and up[u - half] and level[u - half] < 0:
-                level[u - half] = lv
-                queue.append(u - half)
-            if i < last and not up[u] and level[u + half] < 0:
-                level[u + half] = lv
-                queue.append(u + half)
-            if j and right[u - 1] and level[u - 1] < 0:
-                level[u - 1] = lv
-                queue.append(u - 1)
-            if j < last and not right[u] and level[u + 1] < 0:
-                level[u + 1] = lv
-                queue.append(u + 1)
+            for e, v, rev in arcs[u]:
+                if flow[e] == rev and level[v] < 0:
+                    level[v] = lv
+                    if v == size:
+                        return level
+                    queue.append(v)
         return level
 
     def augment(start: int, level: list[int], it: list[int]) -> bool:
         """Push one unit from ``start`` to the sink along rising levels,
-        each cell trying its arcs from ``it[u]`` on (module docstring)."""
+        each cell trying its arcs from ``it[u]`` on."""
         path = [start]
         while path:
             u = path[-1]
-            i, j = divmod(u, half)
             want = level[u] + 1
-            k = it[u]
-            while k < 6:
-                if k == 0:
-                    v = u - half if i and up[u - half] else -1
-                elif k == 1:
-                    v = u + half if i < last and not up[u] else -1
-                elif k == 2:
-                    v = u - 1 if j and right[u - 1] else -1
-                elif k == 3:
-                    v = u + 1 if j < last and not right[u] else -1
-                elif k == 4:
-                    v = size if i == last and not top[j] else -1
-                else:
-                    v = size if j == last and not exit_right[i] else -1
-                if v >= 0 and level[v] == want:
+            out = arcs[u]
+            k, end = it[u], len(out)
+            while k < end:
+                e, v, rev = out[k]
+                if flow[e] == rev and level[v] == want:
                     break
                 k += 1
             it[u] = k
-            if k == 6:  # a dead end: its parent's arc fails
+            if k == end:  # a dead end: its parent's arc fails
                 path.pop()
                 if path:
                     it[path[-1]] += 1
@@ -145,19 +152,7 @@ def quadrant_route(origins: Mapping[int, tuple[int, int]],
                 path.append(v)
             else:
                 for w in path:  # each cell's arc at its pointer
-                    k = it[w]
-                    if k == 0:
-                        up[w - half] = 0
-                    elif k == 1:
-                        up[w] = 1
-                    elif k == 2:
-                        right[w - 1] = 0
-                    elif k == 3:
-                        right[w] = 1
-                    elif k == 4:
-                        top[w - last * half] = 1
-                    else:
-                        exit_right[w // half] = 1
+                    flow[arcs[w][it[w]][0]] ^= 1
                 return True
         return False
 
@@ -173,35 +168,27 @@ def quadrant_route(origins: Mapping[int, tuple[int, int]],
     # the last BFS reached no sink, so its cells are the source side of a
     # min cut, whose capacity must equal the flow
     cut = sum(s for u, s in zip(cells, supply) if level[u] < 0)
-    for u in range(size):
-        if level[u] >= 0:
-            i, j = divmod(u, half)
-            cut += ((i == last) + (j == last) + (i < last and level[u + half] < 0)
-                    + (j < last and level[u + 1] < 0))
+    cut += sum(not rev and level[v] < 0 for u in range(size) if level[u] >= 0
+               for _, v, rev in arcs[u])
     if cut != sum(fed):
         raise SolverInvariantError(f"max-flow/min-cut mismatch: {sum(fed)} vs {cut}")
 
     def strip(u: int) -> tuple[str, str]:
-        """Follow one unit of flow from cell u to an exit slot."""
-        i, j = divmod(u, half)
+        """Follow one unit of flow from cell u to an exit slot, each step on
+        the first loaded arc with the highest head: a slot, then up, then
+        right."""
         moves: list[str] = []
         while True:
-            if i == last and top[j]:
-                top[j] -= 1
-                return "".join(moves), "top"
-            if j == last and exit_right[i]:
-                exit_right[i] -= 1
-                return "".join(moves), "right"
-            if up[u]:
-                up[u] -= 1
-                moves.append("f")
-                i, u = i + 1, u + half
-            elif right[u]:
-                right[u] -= 1
-                moves.append("s")
-                j, u = j + 1, u + 1
-            else:
+            e = v = -1
+            for a, w, rev in arcs[u]:
+                if not rev and flow[a] and w > v:
+                    e, v = a, w
+            if e < 0:
                 raise SolverInvariantError("flow conservation broken during stripping")
+            flow[e], u = 0, v
+            if u == size:
+                return "".join(moves), ("top", "right")[e & 1]
+            moves.append("fs"[e & 1])
 
     accepted: dict[int, tuple[GridPath, str]] = {}
     rejected: list[int] = []

@@ -126,32 +126,44 @@ def solve_tile_exact(requests: Sequence[PacketRequest], tiling: Tiling,
                        + fwd_cap - loads["f", row, col])
                    for (row, col), count in waiting[idx].items())
 
-    def search(idx: int) -> None:
-        nonlocal nodes, budget_left, best
-        # No packing below this node exceeds ``bound``; at the root it is
-        # the tile's bound, so reaching that unwinds the whole search.
-        bound = len(chosen) + packable(idx)
-        if bound <= len(best):
-            return
-        if idx == len(reqs):
-            best = dict(chosen)
-            return
+    # The branch and bound runs from an explicit stack, in recursion order.
+    # A frame is a request index, the bound at its node and its path
+    # iterator; its request is in ``chosen`` while a child node runs.
+    # Leaving the request out is a frame's last act, so it replaces it.
+    frames: list[tuple[int, int, Iterator[GridPath]]] = []
+    visit: int | None = 0              # a node to enter, or None to resume
+    while True:
+        if visit is not None:
+            # No packing below this node exceeds ``bound``; at the root it
+            # is the tile's bound, so reaching that ends the search.
+            bound = len(chosen) + packable(visit)
+            if bound > len(best):
+                if visit == len(reqs):
+                    best = dict(chosen)
+                else:
+                    frames.append((visit, bound, fitting_paths(reqs[visit])))
+            visit = None
+        if not frames:
+            break
+        idx, bound, paths = frames[-1]
         rid = reqs[idx].id
-        for path in fitting_paths(reqs[idx]):
-            if budget_left <= 0:
-                return
-            nodes += 1
-            budget_left -= 1
-            place(path, 1)
-            chosen[rid] = path
-            search(idx + 1)
-            del chosen[rid]
-            place(path, -1)
+        if rid in chosen:              # back from the child under its path
+            place(chosen.pop(rid), -1)
             if bound <= len(best):
-                return
-        search(idx + 1)
+                frames.pop()
+                continue
+        path = next(paths, None)
+        if path is None or budget_left <= 0:
+            frames.pop()
+            if path is None:           # leave the request out
+                visit = idx + 1
+            continue
+        nodes += 1
+        budget_left -= 1
+        place(path, 1)
+        chosen[rid] = path
+        visit = idx + 1
 
-    search(0)
     exact = budget_left > 0
     if not exact:
         # greedy completion: keep whatever beats the truncated search

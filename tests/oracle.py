@@ -9,7 +9,11 @@ searches, so agreement with it is an independent check.  scipy is imported
 on first use, so the brute forces below run without it.
 
 The quadrant and crossbar searches are brute-force ground truth for the two
-routing subproblems.  They enforce hard size limits and raise
+routing subproblems.  Both ask whether a multiset of terminals, each a
+start cell and the window sides its path may leave by, has edge-disjoint
+monotone paths out of a grid window.  They share one enumerator of such
+paths, each an int of edge bits, and one memoized backtracking search over
+those ints.  They enforce hard size limits and raise
 :class:`SizeLimitError` beyond them.
 """
 
@@ -154,33 +158,79 @@ def fractional_optimum(requests: Sequence[PacketRequest], store_cap: float,
 
 
 # ---------------------------------------------------------------------------
-# Quadrant feasibility.
+# Routing feasibility: edge-disjoint monotone paths out of a window.
+
+_TOP, _RIGHT = 1, 2     # the sides a terminal's path may leave by
+
 
 @lru_cache(maxsize=None)
-def _quadrant_options(cell: tuple[int, int], half: int) -> tuple[int, ...]:
-    """Every path from cell to an exit slot, as one int of bits, memoized.
+def _paths(terminal: tuple[int, int, int], rows: int, cols: int,
+           ) -> tuple[int, ...]:
+    """Every monotone path from a terminal out of a rows x cols window.
 
-    Bit ``2 u`` is the forward edge out of window cell ``u = i * half + j``
-    and bit ``2 u + 1`` its store edge; the top slot of column ``j`` is bit
-    ``2 half^2 + j`` and the right slot of row ``i`` bit
-    ``2 half^2 + half + i``.  Two paths share an edge or a slot exactly
-    when their ints share a bit.
+    A terminal is a start cell ``(i, j)`` and a mask of the sides its path
+    may leave by.  A path is one int of bits: bit ``2 u`` is the forward
+    edge out of cell ``u = i * cols + j`` and bit ``2 u + 1`` its store
+    edge.  Leaving through the top or the right takes the boundary cell's
+    own forward or store bit, so two paths share an edge or an exit
+    exactly when their ints share a bit.
     """
-    slots = 2 * half * half
+    i0, j0, sides = terminal
     out = []
-    stack = [(cell[0], cell[1], 0)]
+    stack = [(i0, j0, 0)]
     while stack:
         i, j, edges = stack.pop()
-        u = 2 * (i * half + j)
-        if i == half - 1:
-            out.append(edges | 1 << (slots + j))
-        if j == half - 1:
-            out.append(edges | 1 << (slots + half + i))
-        if i + 1 < half:
+        u = 2 * (i * cols + j)
+        if i == rows - 1 and sides & _TOP:
+            out.append(edges | 1 << u)
+        if j == cols - 1 and sides & _RIGHT:
+            out.append(edges | 2 << u)
+        if i + 1 < rows:
             stack.append((i + 1, j, edges | 1 << u))
-        if j + 1 < half:
-            stack.append((i, j + 1, edges | 1 << (u + 1)))
+        if j + 1 < cols:
+            stack.append((i, j + 1, edges | 2 << u))
     return tuple(out)
+
+
+def _smaller(terminals: tuple):
+    """The distinct multisets one terminal smaller than the sorted ones."""
+    for k in range(len(terminals)):
+        if not k or terminals[k] != terminals[k - 1]:
+            yield terminals[:k] + terminals[k + 1:]
+
+
+@lru_cache(maxsize=None)
+def _routing(terminals: tuple[tuple[int, int, int], ...], rows: int,
+             cols: int) -> tuple[int, ...] | None:
+    """Indices into each terminal's ``_paths`` of an edge-disjoint routing
+    of the sorted terminal multiset, or None when there is none.
+
+    Routability is hereditary: dropping a path from a routing routes the
+    rest.  So a multiset with an unroutable one-smaller multiset is
+    unroutable with no search.  Otherwise a backtracking search places one
+    path per terminal, duplicate terminals on increasing path indices to
+    avoid permuted re-exploration.
+    """
+    for sub in _smaller(terminals):
+        if _routing(sub, rows, cols) is None:
+            return None
+    opts = [_paths(t, rows, cols) for t in terminals]
+    size = len(terminals)
+    repeats = [k and terminals[k - 1] == terminals[k] for k in range(size)]
+
+    def place(pos: int, floor: int, used: int) -> tuple[int, ...] | None:
+        if pos == size:
+            return ()
+        begin = floor if repeats[pos] else 0
+        for oi in range(begin, len(opts[pos])):
+            bits = opts[pos][oi]
+            if not bits & used:
+                rest = place(pos + 1, oi + 1, used | bits)
+                if rest is not None:
+                    return (oi, *rest)
+        return None
+
+    return place(0, 0, 0)
 
 
 def quadrant_feasible_bruteforce(origins: Sequence[tuple[int, int]],
@@ -199,106 +249,46 @@ def quadrant_feasible_bruteforce(origins: Sequence[tuple[int, int]],
     for r, c in origins:
         if not (0 <= r < half and 0 <= c < half):
             raise ValueError(f"origin ({r}, {c}) outside the window")
-    return _largest(tuple(sorted(origins)), half)
-
-
-def _smaller(cells: tuple[tuple[int, int], ...]):
-    """The distinct multisets one cell smaller than the sorted ``cells``."""
-    for k in range(len(cells)):
-        if not k or cells[k] != cells[k - 1]:
-            yield cells[:k] + cells[k + 1:]
+    return _largest(tuple(sorted((r, c, _TOP | _RIGHT) for r, c in origins)), half)
 
 
 @lru_cache(maxsize=None)
-def _largest(cells: tuple[tuple[int, int], ...], half: int) -> int:
-    """Size of the largest routable sub-multiset of the sorted ``cells``."""
-    if _routable(cells, half):
-        return len(cells)
-    return max(_largest(sub, half) for sub in _smaller(cells))
+def _largest(terminals: tuple[tuple[int, int, int], ...], half: int) -> int:
+    """Size of the largest routable sub-multiset of the sorted terminals."""
+    if _routing(terminals, half, half) is not None:
+        return len(terminals)
+    return max(_largest(sub, half) for sub in _smaller(terminals))
 
-
-@lru_cache(maxsize=None)
-def _routable(cells: tuple[tuple[int, int], ...], half: int) -> bool:
-    """Whether the sorted origin multiset admits a full edge-disjoint routing.
-
-    Routability is hereditary: dropping a path from a routing routes the
-    rest.  So a multiset with an unroutable one-smaller multiset is
-    unroutable with no search.  Otherwise a backtracking search places one
-    path per origin, duplicate origins on increasing option indices to
-    avoid permuted re-exploration.
-    """
-    if not all(_routable(sub, half) for sub in _smaller(cells)):
-        return False
-    opts = [_quadrant_options(cell, half) for cell in cells]
-
-    def place(pos: int, floor: int, used: int) -> bool:
-        if pos == len(cells):
-            return True
-        begin = floor if pos and cells[pos - 1] == cells[pos] else 0
-        for oi in range(begin, len(opts[pos])):
-            bits = opts[pos][oi]
-            if not bits & used and place(pos + 1, oi + 1, used | bits):
-                return True
-        return False
-
-    return place(0, 0, 0)
-
-
-# ---------------------------------------------------------------------------
-# Crossbar feasibility.
 
 def crossbar_feasible_bruteforce(problem: CrossbarProblem,
                                  ) -> tuple[bool, dict[int, GridPath] | None]:
     """Exact crossbar feasibility with a witness routing when one exists.
 
-    Backtracking over all monotone edge-disjoint paths from each entry cell
-    through an exit edge on the required side; paths may bend any number of
-    times, so this is strictly more permissive than the constructive
-    router's one-bend repertoire.
+    Searches all monotone edge-disjoint paths from each entry cell through
+    an exit edge on the required side; paths may bend any number of times,
+    so this is strictly more permissive than the constructive router's
+    one-bend repertoire.
     """
     if problem.rows > 5 or problem.cols > 5:
         raise SizeLimitError(f"crossbar {problem.rows}x{problem.cols} > 5x5")
     if len(problem.entries) > 6:
         raise SizeLimitError(f"{len(problem.entries)} entries > 6")
     rows, cols = problem.rows, problem.cols
-
-    def paths_for(entry) -> list[GridPath]:
-        start = (entry.offset, 0) if entry.side == "left" else (0, entry.offset)
-        want_top = entry.exit_side == "top"
-        out = []
-        stack = [(start[0], start[1], "")]
-        while stack:
-            i, j, moves = stack.pop()
-            if want_top and i == rows - 1:
-                out.append(GridPath(start[0], start[1], moves + "f"))
-            if not want_top and j == cols - 1:
-                out.append(GridPath(start[0], start[1], moves + "s"))
-            if i + 1 < rows:
-                stack.append((i + 1, j, moves + "f"))
-            if j + 1 < cols:
-                stack.append((i, j + 1, moves + "s"))
-        return out
-
-    entries = sorted(problem.entries, key=lambda e: e.request_id)
-    per_entry = [paths_for(e) for e in entries]
-    used: set = set()
+    terminals = sorted(
+        ((e.offset, 0) if e.side == "left" else (0, e.offset))
+        + (_TOP if e.exit_side == "top" else _RIGHT,) + (e.request_id,)
+        for e in problem.entries)
+    chosen = _routing(tuple(t[:3] for t in terminals), rows, cols)
+    if chosen is None:
+        return False, None
     witness: dict[int, GridPath] = {}
-
-    def place(pos: int) -> bool:
-        if pos == len(entries):
-            return True
-        for path in per_entry[pos]:
-            edges = list(path.edges())
-            if any(e in used for e in edges):
-                continue
-            used.update(edges)
-            witness[entries[pos].request_id] = path
-            if place(pos + 1):
-                return True
-            del witness[entries[pos].request_id]
-            used.difference_update(edges)
-        return False
-
-    if place(0):
-        return True, dict(witness)
-    return False, None
+    for (i0, j0, sides, rid), oi in zip(terminals, chosen):
+        edges = _paths((i0, j0, sides), rows, cols)[oi]
+        i, j, moves = i0, j0, ""
+        while i < rows and j < cols:
+            if edges >> 2 * (i * cols + j) & 1:
+                moves, i = moves + "f", i + 1
+            else:
+                moves, j = moves + "s", j + 1
+        witness[rid] = GridPath(i0, j0, moves)
+    return True, witness

@@ -91,7 +91,6 @@ def test_round_up_to_multiple_of_6():
     assert round_up_to_multiple_of_6(6.0) == 6
     assert round_up_to_multiple_of_6(6.01) == 12
     assert round_up_to_multiple_of_6(35.9) == 36
-    assert round_up_to_multiple_of_6(2.0, minimum=12) == 12
 
 
 # ---------------------------------------------------------------------------

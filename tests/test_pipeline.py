@@ -285,18 +285,18 @@ def test_route_detailed_terminal_overflow_drops_largest_terminals():
 
 
 def test_run_medium_long_random_instances_validate():
-    for seed in range(8):
+    for seed, cap in product(range(8), (1, 2, 3)):
         n = (32, 48)[seed % 2]
         inst = gen_random_instance(
-            n, 1, 1, 150, seed=seed, distance="uniform",
+            n, cap, cap, 150, seed=seed, distance="uniform",
             deadline_slack=None if seed % 3 else 30)
         params = PipelineParams(float(n - 1), seed=seed)
-        packing, trace = run_medium_long(inst.requests, n, 1, 1, params)
-        sub = Instance(inst.n, 1, 1, inst.requests)
+        packing, trace = run_medium_long(inst.requests, n, cap, params)
+        sub = Instance(inst.n, cap, cap, inst.requests)
         schedule = {r.id: "reject" for r in inst.requests}
         schedule.update({rid: p.moves for rid, p in packing.items()})
         verdict = validate_schedule(sub, schedule)
-        assert verdict.ok, (seed, verdict.violations[:4])
+        assert verdict.ok, (seed, cap, verdict.violations[:4])
         assert set(trace.final) <= set(trace.routed) <= set(trace.filtered) \
             <= set(trace.rounded)
         assert all(len(p) <= params.hop_cap + params.k for p in packing.values())
@@ -304,14 +304,14 @@ def test_run_medium_long_random_instances_validate():
 
 def test_run_medium_long_empty_band():
     params = PipelineParams(10.0, seed=0)
-    packing, trace = run_medium_long([], 32, 1, 1, params)
+    packing, trace = run_medium_long([], 32, 1, params)
     assert packing == {} and trace.rounded == ()
 
 
 def test_run_medium_long_prunes_impossible_deadlines():
     req = PacketRequest(0, 0, 8, 3, deadline=9)   # needs 8 moves, has 6
     params = PipelineParams(10.0, seed=1)
-    packing, trace = run_medium_long([req], 16, 1, 1, params)
+    packing, trace = run_medium_long([req], 16, 1, params)
     assert packing == {} and trace.unservable == 1
 
 

@@ -242,6 +242,9 @@ def quadrant_inputs(draw):
 @example(({4: (2, 3), 1: (2, 3), 9: (2, 3)}, (2, 3), 1, 1))
 # a tile of the pipeline's largest side with an origin in every corner
 @example(({0: (0, 0), 1: (17, 0), 2: (0, 17)}, (0, 0), 18, 6))
+# the benchmark's other two sides, two origins sharing a cell
+@example(({0: (4, 2), 1: (7, 5), 2: (4, 2)}, (0, 0), 9, 3))
+@example(({3: (20, 31), 1: (12, 36), 2: (20, 31)}, (10, 25), 15, 5))
 def test_pruned_network_matches_full_grid(inputs):
     assert quadrant_route(*inputs) == full_grid_quadrant_route(*inputs)
 

@@ -121,6 +121,14 @@ def test_lone_request_stops_at_its_first_path():
     assert sol.packing[0].moves == "f" * 8
 
 
+def test_deep_tile_searches_without_recursion():
+    # the search visits one level per request, far past Python's recursion
+    # limit here; two paths leave the shared origin, so two requests fit
+    reqs = [PacketRequest(i, 0, 1, 1) for i in range(1100)]
+    sol = solve_tile_exact(reqs, Tiling(12), (0, 0), 1, 1, max_len=2)
+    assert sol.exact and len(sol.packing) == 2
+
+
 def test_tile_exact_matches_oracle_on_congested_tiles():
     # cloned origins overload their out-edges, so the optimum falls below
     # the request count and the origin cut has to prune correctly; tight
